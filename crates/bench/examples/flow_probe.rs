@@ -1,7 +1,6 @@
 //! Hot-path profiling probe: run one generator through one flow with
-//! per-pass wall times, `LevelMap` repair counters and a final
-//! equivalence check — the manual loupe behind the `--suite large`
-//! numbers in EXPERIMENTS.md.
+//! per-pass wall times and a final equivalence check — the manual loupe
+//! behind the `--suite large` numbers in EXPERIMENTS.md.
 //!
 //! ```sh
 //! cargo run --release -p mig_bench --example flow_probe -- \
@@ -43,8 +42,6 @@ fn main() {
     for r in ctx.ledger() {
         eprintln!("  pass {:14} {:>9.1}ms", r.pass, r.millis);
     }
-    let ls = ctx.level_stats();
-    eprintln!("level stats: {ls:?}");
     let t1 = std::time::Instant::now();
     let ok = out.equiv(&mig, 16);
     eprintln!(

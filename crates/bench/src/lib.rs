@@ -8,7 +8,7 @@
 //! successive PRs accumulate a performance trajectory (compare the
 //! committed file against a fresh run to spot regressions).
 //!
-//! The schema (`mig-bench/v8`, documented in `DESIGN.md` §7/§10; v2
+//! The schema (`mig-bench/v9`, documented in `DESIGN.md` §7/§10; v2
 //! added the cut-based Boolean `rewrite` pass between `size` and
 //! `depth`; v3 added the top-level `threads` field recording the rewrite
 //! engine's resolved evaluate-phase worker count; v4 added the top-level
@@ -24,9 +24,8 @@
 //! selection — the 100k–1M-node large tier ([`LARGE_FLOW`], skipping
 //! the mapping/esat stages that exist for MCNC-scale comparison) — and
 //! serializes its records in a top-level `large` array with wall time
-//! per pass, a memory footprint (arena/strash/cut-cache bytes plus peak
-//! RSS), and the [`mig_core::LevelStats`] counters evidencing bounded
-//! level maintenance. The `suite` field names what ran (`mcnc14`,
+//! per pass and a memory footprint (arena/strash/cut-cache bytes plus
+//! peak RSS). The `suite` field names what ran (`mcnc14`,
 //! `large4` or `mcnc14+large4`); every MCNC-tier field of v6
 //! serializes byte-identically, so the committed trajectory's MCNC
 //! records never regenerate. A pass entry additionally carries an
@@ -36,11 +35,13 @@
 //! block — the `mighty serve --bench` load sweep with jobs/sec and
 //! p50/p95/p99 latency per worker count — placed, like `large`,
 //! immediately before `totals` so volatile timings strip with a
-//! line-range delete):
+//! line-range delete; v9 drops the large records' `levels` member,
+//! whose level-repair counters measured a mirror of the arena's own
+//! level array):
 //!
 //! ```json
 //! {
-//!   "schema": "mig-bench/v8",
+//!   "schema": "mig-bench/v9",
 //!   "suite": "mcnc14",
 //!   "mode": "full",
 //!   "flow": "size; rewrite; depth; activity",
@@ -80,9 +81,6 @@
 //!       "mem": {"arena_bytes": 1597440, "strash_slots": 262144,
 //!               "strash_bytes": 4194304, "cache_entries": 795656,
 //!               "peak_rss_bytes": 734003200},
-//!       "levels": {"incremental_repairs": 291808,
-//!                  "repaired_nodes": 340756, "nodes_per_repair": 1.17,
-//!                  "global_rebuilds": 11},
 //!       "total_millis": 1060.0
 //!     }
 //!   ],
@@ -109,7 +107,7 @@
 //! let report = run_suite(&cfg);
 //! assert!(report.all_ok());
 //! assert_eq!(report.benchmarks.len(), 1);
-//! assert!(mig_bench::to_json(&report).contains("\"schema\": \"mig-bench/v8\""));
+//! assert!(mig_bench::to_json(&report).contains("\"schema\": \"mig-bench/v9\""));
 //! ```
 
 #![warn(missing_docs)]
@@ -117,7 +115,7 @@
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use mig_core::{Budget, Flow, LevelStats, Mig, OptContext, RewriteConfig, SimSpotCheck};
+use mig_core::{Budget, Flow, Mig, OptContext, RewriteConfig, SimSpotCheck};
 use mig_techmap::{map_mig, CellLibrary, MapConfig};
 
 /// The canonical default flow: the v3 harness's fixed size → rewrite →
@@ -318,7 +316,7 @@ pub struct MemRecord {
 }
 
 /// Full record for one large-tier circuit: the flow ledger plus the
-/// scaling evidence (memory footprint and level-maintenance counters).
+/// scaling evidence (memory footprint).
 /// Mapping and the esat head-to-head — MCNC-scale comparisons — are
 /// deliberately absent.
 #[derive(Debug, Clone)]
@@ -341,9 +339,6 @@ pub struct LargeRecord {
     pub size_ok: bool,
     /// Memory footprint after the flow.
     pub mem: MemRecord,
-    /// Level-maintenance counters accumulated over the flow (the
-    /// sub-O(n) evidence; see [`LevelStats::nodes_per_repair`]).
-    pub levels: LevelStats,
     /// Number of degraded (rolled-back / timed-out / skipped) passes.
     pub degraded: usize,
     /// Wall-clock time over all passes (excludes verify).
@@ -434,7 +429,7 @@ pub struct ServeSweep {
     pub bit_identical: bool,
 }
 
-/// The serve-bench block of the v8 schema: the flow/effort every job
+/// The serve-bench block of the v9 schema: the flow/effort every job
 /// ran, plus one [`ServeSweep`] per worker count.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
@@ -625,8 +620,8 @@ fn resolve_names(config: &BenchConfig) -> (Vec<String>, Vec<String>) {
     (mcnc, large)
 }
 
-/// Runs one large-tier circuit through `flow`, collecting the ledger,
-/// the level-maintenance counters and the memory footprint.
+/// Runs one large-tier circuit through `flow`, collecting the ledger
+/// and the memory footprint.
 fn run_large(
     name: &str,
     flow: &Flow,
@@ -638,10 +633,8 @@ fn run_large(
         .unwrap_or_else(|| panic!("unknown benchmark `{name}` (see `mighty list`)"));
     let mig = Mig::from_network(&net);
     let import = Metrics::of(&mig);
-    ctx.take_level_stats(); // drain counters left by earlier circuits
     let cur = flow.run(mig.cleanup(), effort, ctx);
     let passes = ctx.take_ledger();
-    let levels = ctx.take_level_stats();
     let size_ok = passes
         .iter()
         .filter(|r| {
@@ -669,7 +662,6 @@ fn run_large(
         equiv: cur.equiv(&mig, rounds),
         size_ok,
         mem,
-        levels,
         degraded,
         total_millis,
     }
@@ -785,7 +777,7 @@ pub fn run_suite(config: &BenchConfig) -> BenchReport {
     }
 }
 
-/// Serializes a report in the stable `mig-bench/v8` schema.
+/// Serializes a report in the stable `mig-bench/v9` schema.
 ///
 /// Hand-rolled (the workspace has zero third-party dependencies); all
 /// strings in the schema are benchmark names, pass labels and canonical
@@ -793,7 +785,7 @@ pub fn run_suite(config: &BenchConfig) -> BenchReport {
 pub fn to_json(report: &BenchReport) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"mig-bench/v8\",");
+    let _ = writeln!(s, "  \"schema\": \"mig-bench/v9\",");
     let _ = writeln!(s, "  \"suite\": \"{}\",", report.suite);
     let _ = writeln!(s, "  \"mode\": \"{}\",", report.mode);
     let _ = writeln!(s, "  \"flow\": \"{}\",", report.flow);
@@ -903,16 +895,6 @@ pub fn to_json(report: &BenchReport) -> String {
                 l.mem.cache_entries,
                 l.mem.peak_rss_bytes
             );
-            let _ = writeln!(
-                s,
-                "      \"levels\": {{\"incremental_repairs\": {}, \
-                 \"repaired_nodes\": {}, \"nodes_per_repair\": {:.2}, \
-                 \"global_rebuilds\": {}}},",
-                l.levels.incremental_repairs,
-                l.levels.repaired_nodes,
-                l.levels.nodes_per_repair(),
-                l.levels.global_rebuilds
-            );
             let _ = writeln!(s, "      \"total_millis\": {:.2}", l.total_millis);
             s.push_str("    }");
             s.push_str(if i + 1 < report.large.len() {
@@ -956,7 +938,7 @@ pub fn to_json(report: &BenchReport) -> String {
     s
 }
 
-/// Renders the `"serve"` block of the v8 schema (the lines between the
+/// Renders the `"serve"` block of the v9 schema (the lines between the
 /// benchmark/large arrays and `"totals"`), trailing comma included.
 ///
 /// Public so `mighty serve --bench` can splice a fresh sweep into an
@@ -1000,14 +982,13 @@ fn render_large_lines(s: &mut String, report: &BenchReport) {
         let _ = writeln!(
             s,
             "large {:<9} {:>8} nodes → {:>8} · depth {:>5} → {:>5} · {:>8.0} ms · \
-             {:.2} nodes/repair · peak RSS {:.0} MiB · {}",
+             peak RSS {:.0} MiB · {}",
             l.name,
             l.import.size,
             l.passes.last().map_or(l.import.size, |p| p.after.size),
             l.import.depth,
             l.passes.last().map_or(l.import.depth, |p| p.after.depth),
             l.total_millis,
-            l.levels.nodes_per_repair(),
             l.mem.peak_rss_bytes as f64 / (1024.0 * 1024.0),
             if l.equiv && l.size_ok { "PASS" } else { "FAIL" }
         );
@@ -1191,7 +1172,7 @@ mod tests {
         let report = run_suite(&tiny_config());
         let json = to_json(&report);
         for field in [
-            "\"schema\": \"mig-bench/v8\"",
+            "\"schema\": \"mig-bench/v9\"",
             "\"suite\": \"mcnc14\"",
             "\"mode\": \"quick\"",
             "\"flow\": \"size; rewrite; depth; activity\"",
@@ -1228,7 +1209,7 @@ mod tests {
     fn large_tier_records_scaling_evidence() {
         // `suite: large` routes explicit names through the large-tier
         // runner, so a small circuit exercises the whole path (flow,
-        // ledger, level counters, memory footprint, JSON block) at unit
+        // ledger, memory footprint, JSON block) at unit
         // -test cost; the real 100k–1M circuits run in `mighty bench`.
         let config = BenchConfig {
             names: vec!["my_adder".into()],
@@ -1256,8 +1237,6 @@ mod tests {
             "\"large\": [",
             "\"mem\": {\"arena_bytes\": ",
             "\"peak_rss_bytes\": ",
-            "\"levels\": {\"incremental_repairs\": ",
-            "\"nodes_per_repair\": ",
         ] {
             assert!(json.contains(field), "missing {field} in:\n{json}");
         }

@@ -67,13 +67,6 @@ pub struct Mig {
     /// [`STAMP_SOURCE`] inside the same invalidation hook that drops the
     /// reachability cache).
     stamp: u64,
-    /// Globally unique id of this arena *lifetime*: drawn at construction
-    /// and re-drawn by [`Mig::reset_for_rebuild`]. Unlike `stamp` (which
-    /// advances per mutation), the generation only changes when the arena
-    /// is truncated and restarted, so an external mirror (`LevelMap`) can
-    /// distinguish "same graph, more nodes appended" — catch-up is bounded
-    /// by the appended suffix — from "different graph entirely".
-    generation: u64,
     /// Memoized [`Mig::depth`] keyed on the mutation stamp (stamps start
     /// at 1, so a stored stamp of 0 means "no value cached").
     depth_memo: Cell<(u64, u32)>,
@@ -156,11 +149,8 @@ struct ReachCache {
 }
 
 impl Clone for Mig {
-    /// Clones the graph with a *fresh* generation id: a clone may mutate
-    /// independently of its source, so it must not look like an
-    /// append-only continuation of the same arena lifetime to a
-    /// [`crate::LevelMap`] mirror (which would otherwise trust the shared
-    /// prefix after the two diverge at the same length).
+    /// Clones the graph with fresh (empty) traversal scratchpads:
+    /// scratch state is not logical state.
     fn clone(&self) -> Self {
         Mig {
             name: self.name.clone(),
@@ -174,7 +164,6 @@ impl Clone for Mig {
             subst: RefCell::new(SubstScratch::default()),
             reach: RefCell::new(self.reach.borrow().clone()),
             stamp: self.stamp,
-            generation: STAMP_SOURCE.fetch_add(1, Ordering::Relaxed),
             depth_memo: self.depth_memo.clone(),
         }
     }
@@ -195,7 +184,6 @@ impl Mig {
             subst: RefCell::new(SubstScratch::default()),
             reach: RefCell::new(ReachCache::default()),
             stamp: STAMP_SOURCE.fetch_add(1, Ordering::Relaxed),
-            generation: STAMP_SOURCE.fetch_add(1, Ordering::Relaxed),
             depth_memo: Cell::new((0, 0)),
         }
     }
@@ -238,18 +226,6 @@ impl Mig {
     /// keyed on it (the rewrite engine's cut cache) use that proof.
     pub(crate) fn rewrite_stamp(&self) -> u64 {
         self.stamp
-    }
-
-    /// Public alias of the mutation stamp, for external caches
-    /// (`LevelMap`, bench instrumentation) that key on graph state.
-    pub fn mutation_stamp(&self) -> u64 {
-        self.stamp
-    }
-
-    /// The arena-lifetime id: stable across in-place mutations, re-drawn
-    /// when the arena is truncated for a rebuild. See the field docs.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// The design name.
@@ -372,7 +348,8 @@ impl Mig {
     }
 
     /// Logic level of a node: 0 for inputs/constants, 1 + deepest fanin
-    /// for gates.
+    /// for gates. Fixed when the node is created: the arena only appends
+    /// or truncates, so a stored level never goes stale.
     pub fn level_of(&self, node: NodeId) -> u32 {
         self.level[node.index()]
     }
@@ -380,12 +357,6 @@ impl Mig {
     /// Logic level of the node a signal points at.
     pub fn level_of_signal(&self, signal: Signal) -> u32 {
         self.level[signal.node().index()]
-    }
-
-    /// The full per-node level array (index = arena node index), for
-    /// bulk consumers like the `LevelMap` global resync.
-    pub(crate) fn node_levels(&self) -> &[u32] {
-        &self.level
     }
 
     /// Creates (or finds) the majority node `M(a, b, c)`.
@@ -628,7 +599,6 @@ impl Mig {
         self.input_names.clear();
         self.outputs.clear();
         self.strash.clear();
-        self.generation = STAMP_SOURCE.fetch_add(1, Ordering::Relaxed);
         self.invalidate_cache();
         for i in 0..proto.num_inputs() {
             self.children.push([Signal::FALSE; 3]);
@@ -1069,5 +1039,108 @@ mod tests {
             Some(m2),
             "strash cleared and repopulated"
         );
+    }
+
+    /// Asserts that the arena's stored levels equal a from-scratch
+    /// topological recompute and that the memoized depth equals the
+    /// deepest output level.
+    fn assert_levels_exact(mig: &Mig, what: &str) {
+        let mut fresh = vec![0u32; mig.num_nodes()];
+        for node in mig.gate_ids() {
+            fresh[node.index()] = 1 + mig
+                .children(node)
+                .iter()
+                .map(|s| fresh[s.node().index()])
+                .max()
+                .unwrap();
+        }
+        for (i, &lvl) in fresh.iter().enumerate() {
+            let node = NodeId::from_index(i);
+            assert_eq!(mig.level_of(node), lvl, "{what}: level of {node}");
+        }
+        let deepest = mig
+            .outputs()
+            .iter()
+            .map(|&(_, s)| fresh[s.node().index()])
+            .max()
+            .unwrap_or(0);
+        assert_eq!(mig.depth(), deepest, "{what}: depth");
+    }
+
+    #[test]
+    fn property_random_edit_sequences_match_recompute() {
+        // Random maj / substitute / redirect / clone / rebuild sequences
+        // on SplitMix64-seeded corpora. `depth()` is queried after every
+        // edit, so a pure output redirect must invalidate its memo.
+        use crate::opt::OptBuffers;
+        use mig_netlist::SplitMix64;
+        fn pick(rng: &mut SplitMix64, sigs: &[Signal]) -> Signal {
+            sigs[rng.gen_range(0..sigs.len())]
+        }
+        fn random_maj(rng: &mut SplitMix64, mig: &mut Mig, sigs: &[Signal]) -> Signal {
+            let (a, b, c) = (pick(rng, sigs), pick(rng, sigs), pick(rng, sigs));
+            mig.maj(a, b, c)
+        }
+        for seed in 0..6u64 {
+            let mut rng = SplitMix64::seed_from_u64(0x1e7e_1000 + seed);
+            let mut mig = Mig::new(format!("corpus{seed}"));
+            let mut sigs: Vec<Signal> = (0..8).map(|i| mig.add_input(format!("x{i}"))).collect();
+            for _ in 0..40 {
+                let s = random_maj(&mut rng, &mut mig, &sigs);
+                sigs.push(s);
+            }
+            mig.add_output("y", *sigs.last().unwrap());
+            mig.add_output("z", sigs[sigs.len() / 2]);
+            let mut bufs = OptBuffers::new();
+            assert_levels_exact(&mig, "initial");
+            for step in 0..80 {
+                let what = match rng.gen_range(0..5) {
+                    0 => {
+                        let s = random_maj(&mut rng, &mut mig, &sigs);
+                        sigs.push(s);
+                        if rng.gen_bool(0.5) {
+                            mig.set_output(0, s);
+                        }
+                        "maj"
+                    }
+                    1 => {
+                        let from = pick(&mut rng, &sigs).node();
+                        let to = pick(&mut rng, &sigs);
+                        if mig.is_gate(from) && to.node() != from {
+                            let out = mig.outputs()[0].1;
+                            let new_root = mig.substitute(out, from, to);
+                            mig.set_output(0, new_root);
+                        }
+                        "substitute"
+                    }
+                    2 => {
+                        let i = rng.gen_range(0..mig.num_outputs());
+                        let s = pick(&mut rng, &sigs);
+                        mig.set_output(i, s);
+                        "redirect"
+                    }
+                    3 => {
+                        // The clone and its source diverge at the same
+                        // length; each must keep its own levels and depth.
+                        let mut copy = mig.clone();
+                        let s = random_maj(&mut rng, &mut copy, &sigs);
+                        copy.set_output(1, s);
+                        mig.set_output(1, pick(&mut rng, &sigs));
+                        assert_levels_exact(&mig, "clone source");
+                        sigs.push(s);
+                        mig = copy;
+                        "clone"
+                    }
+                    _ => {
+                        let rebuilt = bufs.cleanup(&mig);
+                        bufs.recycle(std::mem::replace(&mut mig, rebuilt));
+                        sigs = (0..mig.num_inputs()).map(|i| mig.input(i)).collect();
+                        sigs.extend(mig.gate_ids().map(|n| Signal::new(n, false)));
+                        "rebuild"
+                    }
+                };
+                assert_levels_exact(&mig, &format!("seed {seed} step {step} ({what})"));
+            }
+        }
     }
 }

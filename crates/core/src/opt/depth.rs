@@ -14,7 +14,6 @@
 
 use super::size::{eliminate_pass, reshape_pass, substitution_kick};
 use super::{Objective, OptBuffers};
-use crate::level::LevelMap;
 
 /// The lexicographic objective Algorithm 2 minimizes.
 const OBJECTIVE: Objective = Objective::DepthThenSize;
@@ -73,28 +72,20 @@ impl Default for DepthOptConfig {
 /// assert_eq!(opt.depth(), 2);
 /// ```
 pub fn optimize_depth(mig: &Mig, config: &DepthOptConfig) -> Mig {
-    optimize_depth_with(mig, config, &mut OptBuffers::new(), &mut LevelMap::new())
+    optimize_depth_with(mig, config, &mut OptBuffers::new())
 }
 
-/// [`optimize_depth`] with caller-provided rebuild buffers and level
-/// mirror, so composite flows share one arena pool and one level-repair
-/// state across every pass they run.
+/// [`optimize_depth`] with caller-provided rebuild buffers, so composite
+/// flows share one arena pool across every pass they run.
 pub(crate) fn optimize_depth_with(
     mig: &Mig,
     config: &DepthOptConfig,
     bufs: &mut OptBuffers,
-    lm: &mut LevelMap,
 ) -> Mig {
     let mut best = mig.cleanup();
-    // Acceptance measurement through the level mirror: the best cost is
-    // carried forward, so each candidate pays exactly one bind, never a
-    // re-measure of `best`.
-    let measure = |lm: &mut LevelMap, m: &Mig| {
-        lm.bind(m);
-        let depth = lm.depth(m);
-        OBJECTIVE.cost(m.size(), depth)
-    };
-    let mut best_cost = measure(lm, &best);
+    // The best cost is carried forward, so each candidate is measured
+    // once and `best` never again.
+    let mut best_cost = OBJECTIVE.of(&best);
     // Runs one pass and recycles its input's buffers.
     let step = |bufs: &mut OptBuffers, cur: Mig, f: &dyn Fn(&Mig, &mut OptBuffers) -> Mig| {
         let next = f(&cur, bufs);
@@ -117,7 +108,7 @@ pub(crate) fn optimize_depth_with(
             cur = step(bufs, cur, &eliminate_pass);
         }
         cur = step(bufs, cur, &|m, b| b.cleanup(m));
-        let cur_cost = measure(lm, &cur);
+        let cur_cost = OBJECTIVE.of(&cur);
         if cur_cost < best_cost {
             best_cost = cur_cost;
             bufs.recycle(std::mem::replace(&mut best, cur));
@@ -136,7 +127,7 @@ pub(crate) fn optimize_depth_with(
                 k = step(bufs, k, &eliminate_pass);
             }
             k = step(bufs, k, &|m, b| b.cleanup(m));
-            let k_cost = measure(lm, &k);
+            let k_cost = OBJECTIVE.of(&k);
             if k_cost < best_cost {
                 best_cost = k_cost;
                 bufs.recycle(std::mem::replace(&mut best, k));

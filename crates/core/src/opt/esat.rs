@@ -1358,12 +1358,7 @@ impl EsatPass {
     /// chooses the cheapest mix of all the structures plus everything
     /// saturation derives between them.
     fn variants(&self, bufs: &mut OptBuffers, rc: &mut RewriteCache, mig: &Mig) -> Vec<Mig> {
-        let deep = super::depth::optimize_depth_with(
-            mig,
-            &DepthOptConfig::default(),
-            bufs,
-            &mut crate::level::LevelMap::new(),
-        );
+        let deep = super::depth::optimize_depth_with(mig, &DepthOptConfig::default(), bufs);
         let recovered = super::size::optimize_size_with(&deep, &SizeOptConfig::default(), bufs);
         let rw_deep = optimize_rewrite_with(
             mig,
@@ -1373,7 +1368,6 @@ impl EsatPass {
             },
             bufs,
             rc,
-            &mut crate::level::LevelMap::new(),
         );
         vec![deep, recovered, rw_deep]
     }

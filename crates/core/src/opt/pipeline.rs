@@ -70,7 +70,6 @@ use super::depth::{optimize_depth_with, DepthOptConfig};
 use super::rewrite::{optimize_rewrite_with, RewriteCache, RewriteConfig};
 use super::size::{optimize_size_with, SizeOptConfig};
 use super::{Objective, OptBuffers};
-use crate::level::{LevelMap, LevelStats};
 use crate::Mig;
 
 /// Iteration cap for a `pass*` convergence marker: the pass is re-run
@@ -293,6 +292,22 @@ pub struct PassReport {
     pub note: Option<String>,
 }
 
+/// Level-repair counters returned by [`OptContext::take_level_stats`].
+///
+/// Every field reads zero: a node's level is fixed in the [`Mig`] arena
+/// when the node is created, so no pass repairs or resyncs levels.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LevelStats {
+    /// Incremental level repairs (always 0).
+    pub incremental_repairs: u64,
+    /// Nodes whose level an incremental repair recomputed (always 0).
+    pub repaired_nodes: u64,
+    /// Global level rebuilds (always 0).
+    pub global_rebuilds: u64,
+    /// Nodes copied by global rebuilds (always 0).
+    pub global_nodes: u64,
+}
+
 /// Shared state of one optimization pipeline.
 ///
 /// Owns everything that used to be per-pass private: the
@@ -308,11 +323,6 @@ pub struct PassReport {
 pub struct OptContext {
     pub(crate) bufs: OptBuffers,
     pub(crate) rewrite: RewriteCache,
-    /// Bounded dynamic level mirror shared by the level-consuming passes
-    /// (rewrite scheduling and acceptance, algebraic depth, mapping).
-    /// Stamp-keyed like the rewrite cache, so reuse never changes
-    /// results; carries repair statistics across a run.
-    pub(crate) levels: LevelMap,
     jobs: usize,
     ledger: Vec<PassReport>,
     /// Metrics of the most recently measured graph state, keyed by its
@@ -439,17 +449,10 @@ impl OptContext {
         self.rewrite.cut_entries()
     }
 
-    /// Accumulated statistics of the dynamic level mirror: how often a
-    /// bind was a no-op, an incremental catch-up, or a global rebuild,
-    /// and how many nodes each class touched.
-    pub fn level_stats(&self) -> LevelStats {
-        self.levels.stats()
-    }
-
-    /// Drains and returns the level-mirror statistics (e.g. between
-    /// benchmark circuits sharing one context).
-    pub fn take_level_stats(&mut self) -> LevelStats {
-        self.levels.take_stats()
+    /// Level-repair counters, kept for callers that still report them.
+    /// Always zero; see [`LevelStats`].
+    pub fn take_level_stats(&self) -> LevelStats {
+        LevelStats::default()
     }
 
     /// Measures `mig`, reusing the previous measurement when the graph
@@ -673,7 +676,7 @@ impl Pass for DepthPass {
     }
 
     fn run(&self, ctx: &mut OptContext, mig: Mig) -> Mig {
-        let out = optimize_depth_with(&mig, &self.config, &mut ctx.bufs, &mut ctx.levels);
+        let out = optimize_depth_with(&mig, &self.config, &mut ctx.bufs);
         ctx.bufs.recycle(mig);
         out
     }
@@ -752,13 +755,7 @@ impl Pass for RewritePass {
             },
             ..self.config.clone()
         };
-        let out = optimize_rewrite_with(
-            &mig,
-            &config,
-            &mut ctx.bufs,
-            &mut ctx.rewrite,
-            &mut ctx.levels,
-        );
+        let out = optimize_rewrite_with(&mig, &config, &mut ctx.bufs, &mut ctx.rewrite);
         ctx.bufs.recycle(mig);
         out
     }

@@ -57,7 +57,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use super::size::eliminate_pass;
 use super::{Cost, Objective, OptBuffers};
-use crate::level::LevelMap;
 use crate::mig::MigView;
 use crate::scratch::ScratchPool;
 use crate::{Mig, NodeId, Signal};
@@ -610,24 +609,21 @@ pub fn optimize_rewrite(mig: &Mig, config: &RewriteConfig) -> Mig {
         config,
         &mut OptBuffers::new(),
         &mut RewriteCache::default(),
-        &mut LevelMap::new(),
     )
 }
 
 /// [`optimize_rewrite`] with caller-provided buffers, so composite flows
-/// share one arena pool, one cut/canonization cache, and one level
-/// mirror.
+/// share one arena pool and one cut/canonization cache.
 pub(crate) fn optimize_rewrite_with(
     mig: &Mig,
     config: &RewriteConfig,
     bufs: &mut OptBuffers,
     rc: &mut RewriteCache,
-    lm: &mut LevelMap,
 ) -> Mig {
     let mut best = mig.cleanup();
     let rounds = config.effort.max(1) * ROUNDS_PER_EFFORT;
     for round in 0..rounds {
-        let swept = rewrite_sweep(&best, config, bufs, rc, lm);
+        let swept = rewrite_sweep(&best, config, bufs, rc);
         if swept.is_none() && round > 0 {
             break;
         }
@@ -672,13 +668,13 @@ pub(crate) fn optimize_rewrite_with(
 /// arena (push) order, so the result is bit-identical to the stable
 /// comparison sort it replaced — at O(n + levels) instead of
 /// O(n log n), which is material on million-node worklists.
-fn sort_worklist_by_level(rc: &mut RewriteCache, lm: &LevelMap) {
+fn sort_worklist_by_level(rc: &mut RewriteCache, mig: &Mig) {
     let list = &mut rc.worklist;
     let counts = &mut rc.lvl_counts;
     let out = &mut rc.lvl_sorted;
     let max_level = list
         .iter()
-        .map(|&i| lm.level_of(NodeId::from_index(i as usize)))
+        .map(|&i| mig.level_of(NodeId::from_index(i as usize)))
         .max()
         .unwrap_or(0) as usize;
     // counts[l] accumulates the population of level l, shifted by one so
@@ -686,7 +682,7 @@ fn sort_worklist_by_level(rc: &mut RewriteCache, lm: &LevelMap) {
     counts.clear();
     counts.resize(max_level + 2, 0);
     for &i in list.iter() {
-        counts[lm.level_of(NodeId::from_index(i as usize)) as usize + 1] += 1;
+        counts[mig.level_of(NodeId::from_index(i as usize)) as usize + 1] += 1;
     }
     for l in 1..counts.len() {
         counts[l] += counts[l - 1];
@@ -694,7 +690,7 @@ fn sort_worklist_by_level(rc: &mut RewriteCache, lm: &LevelMap) {
     out.clear();
     out.resize(list.len(), 0);
     for &i in list.iter() {
-        let l = lm.level_of(NodeId::from_index(i as usize)) as usize;
+        let l = mig.level_of(NodeId::from_index(i as usize)) as usize;
         out[counts[l] as usize] = i;
         counts[l] += 1;
     }
@@ -719,7 +715,6 @@ fn rewrite_sweep(
     config: &RewriteConfig,
     bufs: &mut OptBuffers,
     rc: &mut RewriteCache,
-    lm: &mut LevelMap,
 ) -> Option<Mig> {
     let k = config.cut_size.clamp(2, 4);
     // The upper bound matches the candidate-slot width, so every stored
@@ -738,17 +733,16 @@ fn rewrite_sweep(
 
     // Level wavefronts over every reachable gate: nodes of one level
     // never feed each other, so a wavefront can be enumerated
-    // concurrently. The level mirror schedules the wavefronts; the
-    // counting sort keeps ties in arena order, exactly like the stable
-    // comparison sort it replaced, at O(n + levels).
-    lm.bind(old);
+    // concurrently. The counting sort keeps ties in arena order,
+    // exactly like the stable comparison sort it replaced, at
+    // O(n + levels).
     rc.worklist.clear();
     for node in old.gate_ids() {
         if rc.reach[node.index()] {
             rc.worklist.push(node.index() as u32);
         }
     }
-    sort_worklist_by_level(rc, lm);
+    sort_worklist_by_level(rc, old);
 
     let trace = std::env::var_os("MIG_REWRITE_TRACE").is_some();
     let t0 = std::time::Instant::now();
@@ -771,7 +765,7 @@ fn rewrite_sweep(
         return None;
     }
 
-    let (new, committed) = commit(old, rc, bufs, db, config.goal, config.depth_tiebreak, lm);
+    let (new, committed) = commit(old, rc, bufs, db, config.goal, config.depth_tiebreak);
     if trace {
         eprintln!(
             "  sweep: enum={n_enum}/{} in {:.2}ms eval={n_eval} in {:.2}ms commit={} in {:.2}ms",
@@ -1128,7 +1122,6 @@ fn commit(
     db: &MigDatabase,
     goal: Objective,
     tiebreak: bool,
-    lm: &mut LevelMap,
 ) -> (Mig, usize) {
     crate::faultpoint!("rewrite.commit");
     let view = old.view();
@@ -1155,14 +1148,9 @@ fn commit(
             rc.map[idx] = hit;
             continue;
         }
-        // Bounded incremental repair: each bind catches the mirror up on
-        // exactly the nodes appended since the last accepted rewrite (or
-        // verbatim copy), so the per-accepted-rewrite level work is the
-        // size of the appended cone, not O(n).
-        lm.bind(&new);
         let default_level = 1 + kids
             .iter()
-            .map(|s| lm.level_of_signal(*s))
+            .map(|s| new.level_of_signal(*s))
             .max()
             .expect("three children");
         // The acceptance threshold is the node's default reconstruction:
@@ -1522,9 +1510,7 @@ fn enumerate_full(mig: &Mig, k: usize, max_cuts: usize, rc: &mut RewriteCache) {
             rc.worklist.push(node.index() as u32);
         }
     }
-    let mut lm = LevelMap::new();
-    lm.bind(mig);
-    sort_worklist_by_level(rc, &lm);
+    sort_worklist_by_level(rc, mig);
     let mut workers = rc.workers.take_n(1);
     enumerate_changed(mig, rc, k, max_cuts, 1, &mut workers);
     rc.workers.put_all(workers);
@@ -1675,9 +1661,8 @@ mod tests {
         let mut bufs = OptBuffers::new();
         let mut rc = RewriteCache::default();
         let config = RewriteConfig::default();
-        let mut lm = LevelMap::new();
-        let first = optimize_rewrite_with(&mig, &config, &mut bufs, &mut rc, &mut lm);
-        let second = optimize_rewrite_with(&mig, &config, &mut bufs, &mut rc, &mut lm);
+        let first = optimize_rewrite_with(&mig, &config, &mut bufs, &mut rc);
+        let second = optimize_rewrite_with(&mig, &config, &mut bufs, &mut rc);
         let fresh = optimize_rewrite(&mig, &config);
         for out in [&first, &second] {
             assert_eq!(out.size(), fresh.size());

@@ -113,7 +113,7 @@ USAGE:
                                         and records memory footprint plus
                                         level-maintenance counters; --quick
                                         keeps only mul_100k of the tier);
-                                        writes the mig-bench/v8 JSON perf
+                                        writes the mig-bench/v9 JSON perf
                                         trajectory with mapped
                                         area/delay/power on both stock
                                         libraries (default FILE:

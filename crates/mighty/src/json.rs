@@ -40,6 +40,7 @@ impl Json {
     /// error (the protocol is one value per line).
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -86,6 +87,7 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -204,6 +206,9 @@ impl Parser<'_> {
                                         std::str::from_utf8(lo).map_err(|_| "bad surrogate")?;
                                     let lo =
                                         u32::from_str_radix(lo, 16).map_err(|_| "bad surrogate")?;
+                                    if !(0xDC00..0xE000).contains(&lo) {
+                                        return Err("bad surrogate pair".into());
+                                    }
                                     self.pos += 6;
                                     let c = 0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00);
                                     char::from_u32(c).ok_or("bad surrogate pair")?
@@ -222,13 +227,18 @@ impl Parser<'_> {
                 }
                 Some(b) if b < 0x20 => return Err("raw control character in string".into()),
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8")?;
-                    let ch = rest.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run of plain bytes up to the next quote,
+                    // backslash or control character in one slice. Those
+                    // are ASCII and never occur inside a multibyte UTF-8
+                    // sequence, so both ends are char boundaries.
+                    let start = self.pos;
+                    while let Some(&b) = self.bytes.get(self.pos) {
+                        if b == b'"' || b == b'\\' || b < 0x20 {
+                            break;
+                        }
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -342,6 +352,19 @@ mod tests {
     }
 
     #[test]
+    fn multi_megabyte_string_round_trips() {
+        // Multibyte characters and escapes spread through a large
+        // payload: the parser must copy plain runs in slices (a per-char
+        // re-validation of the rest of the input is quadratic here).
+        let unit = "module m(a, b); // Grüße ∀x → 😀\n\t\"q\" \\ \u{1}\r";
+        let big = unit.repeat(65_536);
+        assert!(big.len() > 3 << 20);
+        let wire = format!("{{\"netlist\": \"{}\"}}", escape_str(&big));
+        let v = Json::parse(&wire).unwrap();
+        assert_eq!(v.get_str("netlist"), Some(big.as_str()));
+    }
+
+    #[test]
     fn unicode_escapes_decode() {
         assert_eq!(
             Json::parse(r#""\u0041\u00e9""#).unwrap(),
@@ -367,6 +390,7 @@ mod tests {
             "{} trailing",
             "\"\\q\"",
             "\"\\ud800\"",
+            "\"\\ud800\\u0041\"",
             "nul",
             "--3",
         ] {

@@ -17,7 +17,7 @@
 //! same pipeline as plain functions ([`load_input`], [`run_opt`],
 //! [`run_flow`], [`render_report`]) so integration tests drive the exact
 //! code path the CLI does. The timed suite sweep behind `mighty bench`
-//! lives in [`mig_bench`], which writes the `mig-bench/v8`
+//! lives in [`mig_bench`], which writes the `mig-bench/v9`
 //! perf-trajectory JSON (`BENCH_opt.json`) with every optimized result
 //! technology-mapped onto both stock `mig_techmap` libraries. The
 //! `mighty map` half ([`run_map`], [`render_map_report`]) maps a
