@@ -115,7 +115,7 @@
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use mig_core::{Budget, Flow, Mig, OptContext, RewriteConfig, SimSpotCheck};
+use mig_core::{Budget, Flow, Mig, OptContext, PassReport, SimSpotCheck};
 use mig_techmap::{map_mig, CellLibrary, MapConfig};
 
 /// The canonical default flow: the v3 harness's fixed size → rewrite →
@@ -207,7 +207,7 @@ impl BenchConfig {
         BenchConfig {
             names: Vec::new(),
             quick: false,
-            effort: mig_core::SizeOptConfig::default().effort,
+            effort: 4,
             rounds: 8,
             jobs: 0,
             flow: None,
@@ -620,6 +620,22 @@ fn resolve_names(config: &BenchConfig) -> (Vec<String>, Vec<String>) {
     (mcnc, large)
 }
 
+/// The size gate of one ledger: every `size`, `rewrite`,
+/// `depth_rewrite`, `esat` and `depth_esat` execution kept or shrank the
+/// node count (`depth`, `activity` and the mapped passes may trade size
+/// for their own objective and are not gated).
+fn size_ok(passes: &[PassReport]) -> bool {
+    passes
+        .iter()
+        .filter(|r| {
+            matches!(
+                r.pass.as_str(),
+                "size" | "rewrite" | "depth_rewrite" | "esat" | "depth_esat"
+            )
+        })
+        .all(|r| r.after.size <= r.before.size)
+}
+
 /// Runs one large-tier circuit through `flow`, collecting the ledger
 /// and the memory footprint.
 fn run_large(
@@ -635,15 +651,7 @@ fn run_large(
     let import = Metrics::of(&mig);
     let cur = flow.run(mig.cleanup(), effort, ctx);
     let passes = ctx.take_ledger();
-    let size_ok = passes
-        .iter()
-        .filter(|r| {
-            matches!(
-                r.pass.as_str(),
-                "size" | "rewrite" | "depth_rewrite" | "esat"
-            )
-        })
-        .all(|r| r.after.size <= r.before.size);
+    let size_ok = size_ok(&passes);
     let total_millis = passes.iter().map(|p| p.millis).sum();
     let degraded = passes.iter().filter(|r| r.outcome.degraded()).count();
     let mem = MemRecord {
@@ -691,12 +699,8 @@ pub fn run_suite(config: &BenchConfig) -> BenchReport {
     let large_flow = Flow::parse(large_script).unwrap_or_else(|e| panic!("bad flow script: {e}"));
     let esat_flow = Flow::parse(ESAT_FLOW).expect("canonical esat flow parses");
     let esat_ref_flow = Flow::parse(ESAT_REF_FLOW).expect("canonical reference flow parses");
-    let threads = RewriteConfig {
-        jobs: config.jobs,
-        ..RewriteConfig::default()
-    }
-    .resolved_jobs();
     let mut ctx = OptContext::with_jobs(config.jobs);
+    let threads = ctx.resolved_jobs();
     ctx.set_budget(config.budget());
     if config.selfcheck {
         ctx.set_spot_check(Box::new(SimSpotCheck::new(rounds)));
@@ -709,15 +713,7 @@ pub fn run_suite(config: &BenchConfig) -> BenchReport {
         let import = Metrics::of(&mig);
         let cur = flow.run(mig.cleanup(), effort, &mut ctx);
         let passes = ctx.take_ledger();
-        let size_ok = passes
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r.pass.as_str(),
-                    "size" | "rewrite" | "depth_rewrite" | "esat"
-                )
-            })
-            .all(|r| r.after.size <= r.before.size);
+        let size_ok = size_ok(&passes);
         let total_millis = passes.iter().map(|p| p.millis).sum();
         let degraded = passes.iter().filter(|r| r.outcome.degraded()).count();
         let mapped = map_record(&cur, &net, &CellLibrary::cmos22(), rounds);

@@ -31,7 +31,7 @@
 //! # Example
 //!
 //! ```
-//! use mig_core::{Mig, optimize_depth, DepthOptConfig};
+//! use mig_core::{Mig, optimize_depth};
 //!
 //! // f = x ⊕ y ⊕ z from its AOIG (depth 4) optimizes to depth ≤ 3.
 //! let mut mig = Mig::new("xor3");
@@ -41,7 +41,7 @@
 //! let t = mig.xor(x, y);
 //! let f = mig.xor(t, z);
 //! mig.add_output("f", f);
-//! let opt = optimize_depth(&mig, &DepthOptConfig::default());
+//! let opt = optimize_depth(&mig, 6);
 //! assert!(opt.equiv(&mig, 4));
 //! assert!(opt.depth() < mig.depth());
 //! ```
@@ -61,12 +61,10 @@ pub(crate) mod strash;
 
 pub use crate::mig::Mig;
 pub use opt::{
-    enumerate_cuts, optimize_activity, optimize_depth, optimize_rewrite, optimize_size,
-    ActivityOptConfig, ActivityPass, Budget, Cost, CutSet, DepthOptConfig, DepthPass, EGraph, ELit,
-    EnumeratedCut, EsatConfig, EsatPass, EsatRule, EsatStats, Flow, FlowStep, LevelStats, MapPass,
-    MappedMetrics, Objective, OptContext, Pass, PassKind, PassMetrics, PassOutcome, PassReport,
-    Repeat, RewriteConfig, RewritePass, SimSpotCheck, SizeOptConfig, SizePass, SpotCheck,
-    StopReason, TechModel,
+    enumerate_cuts, optimize_activity, optimize_depth, optimize_rewrite, optimize_size, run_esat,
+    Budget, Cost, CutSet, EGraph, ELit, EnumeratedCut, EsatConfig, EsatRule, EsatStats, Flow,
+    FlowStep, LevelStats, MappedMetrics, Objective, OptContext, Pass, PassKind, PassMetrics,
+    PassOutcome, PassReport, Repeat, SimSpotCheck, SpotCheck, StopReason, TechModel,
 };
 pub use signal::{NodeId, Signal};
 

@@ -7,37 +7,20 @@
 //!    whose probability is close to 0.5 (maximum switching) for one whose
 //!    probability is near 0 or 1 (paper Fig. 2(d)).
 
-use super::size::{eliminate_pass, optimize_size_with, SizeOptConfig};
-use super::OptBuffers;
+use super::size::{eliminate_pass, optimize_size_with};
+use super::{OptBuffers, CONE_LIMIT};
 use crate::{Mig, Signal};
 
-/// Tuning knobs for [`optimize_activity`].
-#[derive(Debug, Clone)]
-pub struct ActivityOptConfig {
-    /// Number of reshape/recover cycles.
-    pub effort: usize,
-    /// Cone bound for the relevance rewrites.
-    pub cone_limit: usize,
-    /// Maximum tolerated relative size growth (e.g. `0.05` = 5 %).
-    pub size_slack: f64,
-}
-
-impl Default for ActivityOptConfig {
-    fn default() -> Self {
-        ActivityOptConfig {
-            effort: 3,
-            cone_limit: 40,
-            size_slack: 0.05,
-        }
-    }
-}
+/// Maximum tolerated relative size growth per accepted cycle (5 %).
+const SIZE_SLACK: f64 = 0.05;
 
 /// Reduces the switching activity of the MIG under the given per-input
-/// signal probabilities (probability of being logic 1).
+/// signal probabilities (probability of being logic 1), in up to
+/// `effort` reshape/recover cycles.
 ///
 /// Returns a functionally equivalent MIG whose
 /// [`switching_activity`](Mig::switching_activity) is less than or equal
-/// to the input's, with size growth bounded by `config.size_slack`.
+/// to the input's, with size growth bounded by 5 % per accepted cycle.
 ///
 /// # Panics
 ///
@@ -46,7 +29,7 @@ impl Default for ActivityOptConfig {
 /// # Example
 ///
 /// ```
-/// use mig_core::{Mig, optimize_activity, ActivityOptConfig};
+/// use mig_core::{Mig, optimize_activity};
 ///
 /// // Paper Fig. 2(d): k = M(x, y, M(x', z, w)) with px = 0.5 and the
 /// // rest at 0.1 halves its activity by exchanging x' for y inside.
@@ -59,12 +42,12 @@ impl Default for ActivityOptConfig {
 /// let k = mig.maj(x, y, inner);
 /// mig.add_output("k", k);
 /// let probs = [0.5, 0.1, 0.1, 0.1];
-/// let opt = optimize_activity(&mig, &probs, &ActivityOptConfig::default());
+/// let opt = optimize_activity(&mig, &probs, 3);
 /// assert!(opt.equiv(&mig, 4));
 /// assert!(opt.switching_activity(&probs) < 0.51 * mig.switching_activity(&probs));
 /// ```
-pub fn optimize_activity(mig: &Mig, input_probs: &[f64], config: &ActivityOptConfig) -> Mig {
-    optimize_activity_with(mig, input_probs, config, &mut OptBuffers::new())
+pub fn optimize_activity(mig: &Mig, input_probs: &[f64], effort: usize) -> Mig {
+    optimize_activity_with(mig, input_probs, effort, &mut OptBuffers::new())
 }
 
 /// [`optimize_activity`] with caller-provided rebuild buffers, so
@@ -72,28 +55,20 @@ pub fn optimize_activity(mig: &Mig, input_probs: &[f64], config: &ActivityOptCon
 pub(crate) fn optimize_activity_with(
     mig: &Mig,
     input_probs: &[f64],
-    config: &ActivityOptConfig,
+    effort: usize,
     bufs: &mut OptBuffers,
 ) -> Mig {
     assert_eq!(input_probs.len(), mig.num_inputs());
     let mut best = mig.cleanup();
     let mut best_cost = cost(&best, input_probs);
-    for _ in 0..config.effort {
-        let r = probability_reshape_pass(&best, input_probs, config.cone_limit, bufs);
+    for _ in 0..effort {
+        let r = probability_reshape_pass(&best, input_probs, bufs);
         let e = eliminate_pass(&r, bufs);
         bufs.recycle(r);
         let cur = bufs.cleanup(&e);
         bufs.recycle(e);
-        // Size recovery via Algorithm 1 (limited effort).
-        let recovered = optimize_size_with(
-            &cur,
-            &SizeOptConfig {
-                effort: 1,
-                cone_limit: config.cone_limit,
-                use_substitution: false,
-            },
-            bufs,
-        );
+        // Size recovery via Algorithm 1 (one cycle, no Ψ.S kick).
+        let recovered = optimize_size_with(&cur, 1, false, bufs);
         let rec_cost = cost(&recovered, input_probs);
         let cur_cost = cost(&cur, input_probs);
         let (cand, cand_cost) = if rec_cost <= cur_cost {
@@ -103,8 +78,7 @@ pub(crate) fn optimize_activity_with(
             bufs.recycle(recovered);
             (cur, cur_cost)
         };
-        let within_slack =
-            cand.size() as f64 <= best.size() as f64 * (1.0 + config.size_slack) + 1.0;
+        let within_slack = cand.size() as f64 <= best.size() as f64 * (1.0 + SIZE_SLACK) + 1.0;
         if cand_cost < best_cost && within_slack {
             bufs.recycle(std::mem::replace(&mut best, cand));
             best_cost = cand_cost;
@@ -122,12 +96,7 @@ fn cost(mig: &Mig, input_probs: &[f64]) -> f64 {
 /// One `Ψ.R`-driven reshaping pass: at every node, if a reconvergent fanin
 /// has near-0.5 probability and the exchanged variable is strongly biased,
 /// try the exchange and keep it when the bounded-cone activity drops.
-fn probability_reshape_pass(
-    mig: &Mig,
-    input_probs: &[f64],
-    cone_limit: usize,
-    bufs: &mut OptBuffers,
-) -> Mig {
+fn probability_reshape_pass(mig: &Mig, input_probs: &[f64], bufs: &mut OptBuffers) -> Mig {
     // Probability buffers reused across every node and candidate of the
     // pass (the closure used to allocate one `Vec<f64>` per candidate).
     let mut probs: Vec<f64> = Vec::new();
@@ -155,7 +124,7 @@ fn probability_reshape_pass(
             }
         };
         let mut best = base;
-        let mut best_act = cone_activity(new, best, &probs, cone_limit);
+        let mut best_act = cone_activity(new, best, &probs);
         for zi in 0..3 {
             let z = kids[zi];
             if new.as_maj(z).is_none() {
@@ -172,12 +141,12 @@ fn probability_reshape_pass(
                 if cold <= hot {
                     continue;
                 }
-                if new.cone_contains(z, x.node(), cone_limit) != Some(true) {
+                if new.cone_contains(z, x.node(), CONE_LIMIT) != Some(true) {
                     continue;
                 }
                 let cand = new.psi_r(x, y, z);
                 new.signal_probabilities_into(input_probs, &mut cand_probs);
-                let act = cone_activity(new, cand, &cand_probs, cone_limit);
+                let act = cone_activity(new, cand, &cand_probs);
                 if act < best_act {
                     best = cand;
                     best_act = act;
@@ -188,9 +157,9 @@ fn probability_reshape_pass(
     })
 }
 
-/// Total `p(1−p)` over the bounded cone of `root` (epoch-marked, no
-/// allocation).
-fn cone_activity(mig: &Mig, root: Signal, probs: &[f64], limit: usize) -> f64 {
+/// Total `p(1−p)` over the cone of `root`, bounded by [`CONE_LIMIT`]
+/// gates (epoch-marked, no allocation).
+fn cone_activity(mig: &Mig, root: Signal, probs: &[f64]) -> f64 {
     let mut trav = mig.trav_scratch();
     trav.begin(mig.num_nodes());
     trav.stack.push(root.node());
@@ -201,7 +170,7 @@ fn cone_activity(mig: &Mig, root: Signal, probs: &[f64], limit: usize) -> f64 {
             continue;
         }
         steps += 1;
-        if steps > limit {
+        if steps > CONE_LIMIT {
             return f64::INFINITY;
         }
         let p = probs[n.index()];
@@ -234,7 +203,7 @@ mod tests {
         let (mig, probs) = fig2d();
         let before = mig.switching_activity(&probs);
         assert!((before - 0.18).abs() < 1e-9);
-        let opt = optimize_activity(&mig, &probs, &ActivityOptConfig::default());
+        let opt = optimize_activity(&mig, &probs, 3);
         assert!(opt.equiv(&mig, 4));
         let after = opt.switching_activity(&probs);
         assert!(after < 0.10, "paper: 0.18 → ≈0.087, got {after}");
@@ -252,7 +221,7 @@ mod tests {
         mig.add_output("y", m2);
         let probs = vec![0.5, 0.5, 0.5];
         let before = mig.switching_activity(&probs);
-        let opt = optimize_activity(&mig, &probs, &ActivityOptConfig::default());
+        let opt = optimize_activity(&mig, &probs, 3);
         assert!(opt.equiv(&mig, 4));
         assert!(opt.switching_activity(&probs) <= before + 1e-12);
     }
@@ -261,7 +230,7 @@ mod tests {
     fn uniform_probabilities_still_sound() {
         let (mig, _) = fig2d();
         let probs = vec![0.5; 4];
-        let opt = optimize_activity(&mig, &probs, &ActivityOptConfig::default());
+        let opt = optimize_activity(&mig, &probs, 3);
         assert!(opt.equiv(&mig, 4));
     }
 }

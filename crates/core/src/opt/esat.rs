@@ -61,16 +61,16 @@
 //! the e-graph, `pass_ms` bounds saturation time). Extraction picks, per
 //! e-class, the representative minimizing the objective ([`Objective`]),
 //! by a bottom-up cost fixpoint, then rebuilds a strashed [`Mig`]; the
-//! [`EsatPass`] keeps the extraction only when it beats its input
-//! (monotone guard), so the pass can never regress a flow.
+//! pass ([`run_esat`]) keeps the extraction only when it beats its
+//! input (monotone guard), so the pass can never regress a flow.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use super::depth::DepthOptConfig;
-use super::pipeline::{Budget, OptContext, Pass, TechModel};
-use super::rewrite::{optimize_rewrite_with, RewriteCache, RewriteConfig};
-use super::size::SizeOptConfig;
+use super::depth::optimize_depth_with;
+use super::pipeline::{Budget, OptContext};
+use super::rewrite::optimize_rewrite_with;
+use super::size::optimize_size_with;
 use super::{Objective, OptBuffers};
 use crate::{Mig, Signal};
 
@@ -156,10 +156,9 @@ pub struct EsatStats {
 
 /// Saturation budget and matcher tuning for one `esat` run.
 ///
-/// The defaults are deterministic (no wall-clock limit); the
-/// [`EsatPass`] derives a config from the pipeline
-/// [`Budget`] so `max_nodes` caps the e-graph
-/// and `pass_ms` installs a deadline.
+/// The defaults are deterministic (no wall-clock limit); the `esat` and
+/// `depth_esat` flow passes derive a config from their `effort` and the
+/// pipeline [`Budget`] ([`EsatConfig::for_pass`]).
 #[derive(Debug, Clone)]
 pub struct EsatConfig {
     /// Rule-application iterations (each applies every rule to every
@@ -189,6 +188,18 @@ impl Default for EsatConfig {
 }
 
 impl EsatConfig {
+    /// The config of an `esat` / `depth_esat` flow pass: `effort` drives
+    /// the iteration count, [`Budget::max_nodes`] caps the e-graph, and
+    /// [`Budget::pass_ms`] installs a saturation deadline.
+    pub(crate) fn for_pass(effort: usize, budget: &Budget) -> Self {
+        EsatConfig {
+            iters: (effort * 4).clamp(1, 32),
+            enode_cap: budget.max_nodes.unwrap_or(0),
+            time_ms: budget.pass_ms,
+            ..EsatConfig::default()
+        }
+    }
+
     /// The effective e-node cap for a graph seeded with `seed` e-nodes.
     /// The automatic cap grants generous multiplicative room — the
     /// MCNC sweep showed saturation is budget-bound, with wins still
@@ -1297,177 +1308,79 @@ fn saturate_and_extract(
         .collect()
 }
 
-/// Equality-saturation rewriting as a [`Pass`] — the `esat` flow step.
+/// Effort of the algebraic depth optimizer that produces the first
+/// variant seed.
+const SEED_DEPTH_EFFORT: usize = 6;
+
+/// Effort of the size recovery of that reshape, the second variant seed.
+const SEED_SIZE_EFFORT: usize = 4;
+
+/// Effort of the depth-oriented Boolean rewriter that produces the third
+/// variant seed.
+const SEED_DEPTH_REWRITE_EFFORT: usize = 2;
+
+/// Equality-saturation rewriting — the body of the `esat` and
+/// `depth_esat` flow passes, callable with an explicit saturation
+/// `config`.
 ///
-/// Seeds an e-graph from the input, saturates the Ω/Ψ rule set under the
-/// pipeline budget (`effort` drives the iteration count,
-/// [`Budget::max_nodes`] caps the e-graph, [`Budget::pass_ms`] installs
-/// a saturation deadline), then extracts the cheapest representative
-/// under the pass objective. The extraction is kept only when it
-/// strictly beats the input under that objective — the pass is monotone
-/// by construction and can never regress a flow.
-///
-/// With a mapped objective ([`Objective::MappedArea`] /
-/// [`Objective::MappedDelay`]) and a [`TechModel`] installed on the
-/// context, both structural extractions are measured through the model
-/// and the best *mapped* cost wins (the input included); without a
-/// model, mapped goals degrade to their structural proxy.
-#[derive(Debug, Clone)]
-pub struct EsatPass {
-    /// The objective extraction minimizes.
-    pub goal: Objective,
-    /// Iteration budget (the flow's uniform effort): saturation runs at
-    /// most `effort` rule sweeps (clamped to `1..=8`).
-    pub effort: usize,
-    /// Saturation tuning; `None` uses [`EsatConfig::default`] with the
-    /// iteration count derived from `effort` and the caps derived from
-    /// the pipeline [`Budget`].
-    pub config: Option<EsatConfig>,
-}
-
-impl Default for EsatPass {
-    fn default() -> Self {
-        EsatPass {
-            goal: Objective::SizeThenDepth,
-            effort: 2,
-            config: None,
-        }
+/// Seeds an e-graph from the input plus structurally different but
+/// equivalent variants of it, saturates the Ω/Ψ rule set under `config`,
+/// then extracts the cheapest representative under `goal` (a mapped
+/// objective extracts under its [structural](Objective::structural)
+/// proxy). The extraction is kept only when it does not lose to the
+/// input under that objective — the pass is monotone by construction and
+/// can never regress a flow.
+pub fn run_esat(ctx: &mut OptContext, mig: Mig, goal: Objective, config: &EsatConfig) -> Mig {
+    let obj = goal.structural();
+    let variants = variants(ctx, &mig);
+    let bufs = &mut ctx.bufs;
+    let mut cands = saturate_and_extract(&mig, &variants, config, &[obj], bufs);
+    for v in variants {
+        bufs.recycle(v);
+    }
+    let cand = cands.pop().expect("one objective in, one candidate out");
+    // `<=` rather than `<`: an equal-cost extraction is still a
+    // *restructuring* (the extractor picks per-class representatives
+    // afresh), and downstream greedy passes regularly escape their
+    // local minimum on the reshaped graph. Strictly worse
+    // extractions are discarded, so the pass stays monotone.
+    if obj.of(&cand) <= obj.of(&mig) {
+        bufs.recycle(mig);
+        cand
+    } else {
+        bufs.recycle(cand);
+        mig
     }
 }
 
-impl EsatPass {
-    /// The effective saturation config under the pipeline `budget`.
-    fn resolve(&self, budget: &Budget) -> EsatConfig {
-        match &self.config {
-            Some(c) => c.clone(),
-            None => EsatConfig {
-                iters: (self.effort * 4).clamp(1, 32),
-                enode_cap: budget.max_nodes.unwrap_or(0),
-                time_ms: budget.pass_ms,
-                ..EsatConfig::default()
-            },
-        }
-    }
-
-    /// Structurally different but equivalent restructurings of `mig`
-    /// used as extra e-graph seeds: the algebraic depth optimizer
-    /// reshapes aggressively (Ω.D L→R pushes), a size recovery of that
-    /// reshape lands in yet another basin, and the NPN-database
-    /// depth-rewriter contributes structures the algebraic rules never
-    /// produce. Their outputs merge with the input's, so extraction
-    /// chooses the cheapest mix of all the structures plus everything
-    /// saturation derives between them.
-    fn variants(&self, bufs: &mut OptBuffers, rc: &mut RewriteCache, mig: &Mig) -> Vec<Mig> {
-        let deep = super::depth::optimize_depth_with(mig, &DepthOptConfig::default(), bufs);
-        let recovered = super::size::optimize_size_with(&deep, &SizeOptConfig::default(), bufs);
-        let rw_deep = optimize_rewrite_with(
-            mig,
-            &RewriteConfig {
-                goal: Objective::DepthThenSize,
-                ..RewriteConfig::default()
-            },
-            bufs,
-            rc,
-        );
-        vec![deep, recovered, rw_deep]
-    }
-
-    /// Structural search: saturate over the input plus its variant
-    /// seeds, extract under the structural goal, keep the winner.
-    fn run_structural(
-        &self,
-        config: &EsatConfig,
-        bufs: &mut OptBuffers,
-        rc: &mut RewriteCache,
-        mig: Mig,
-    ) -> Mig {
-        let obj = self.goal.structural();
-        let variants = self.variants(bufs, rc, &mig);
-        let mut cands = saturate_and_extract(&mig, &variants, config, &[obj], bufs);
-        for v in variants {
-            bufs.recycle(v);
-        }
-        let cand = cands.pop().expect("one objective in, one candidate out");
-        // `<=` rather than `<`: an equal-cost extraction is still a
-        // *restructuring* (the extractor picks per-class representatives
-        // afresh), and downstream greedy passes regularly escape their
-        // local minimum on the reshaped graph. Strictly worse
-        // extractions are discarded, so the pass stays monotone.
-        if obj.of(&cand) <= obj.of(&mig) {
-            bufs.recycle(mig);
-            cand
-        } else {
-            bufs.recycle(cand);
-            mig
-        }
-    }
-
-    /// Mapped search: extract under both structural proxies, measure
-    /// everything (input included) through the tech model, keep the best
-    /// mapped cost.
-    fn run_mapped(
-        &self,
-        config: &EsatConfig,
-        bufs: &mut OptBuffers,
-        rc: &mut RewriteCache,
-        tech: &dyn TechModel,
-        mig: Mig,
-    ) -> Mig {
-        let variants = self.variants(bufs, rc, &mig);
-        let cands = saturate_and_extract(
-            &mig,
-            &variants,
-            config,
-            &[Objective::SizeThenDepth, Objective::DepthThenSize],
-            bufs,
-        );
-        for v in variants {
-            bufs.recycle(v);
-        }
-        let mut best = mig;
-        let mut best_cost = self.goal.mapped_cost(&tech.measure(&best));
-        for cand in cands {
-            let cost = self.goal.mapped_cost(&tech.measure(&cand));
-            if cost < best_cost {
-                bufs.recycle(std::mem::replace(&mut best, cand));
-                best_cost = cost;
-            } else {
-                bufs.recycle(cand);
-            }
-        }
-        best
-    }
-}
-
-impl Pass for EsatPass {
-    fn name(&self) -> &'static str {
-        "esat"
-    }
-
-    fn objective(&self) -> Objective {
-        self.goal
-    }
-
-    fn run(&self, ctx: &mut OptContext, mig: Mig) -> Mig {
-        let config = self.resolve(&ctx.budget());
-        let mapped_goal = matches!(self.goal, Objective::MappedArea | Objective::MappedDelay);
-        if mapped_goal {
-            if let Some(tech) = ctx.tech.take() {
-                let out =
-                    self.run_mapped(&config, &mut ctx.bufs, &mut ctx.rewrite, tech.as_ref(), mig);
-                ctx.set_tech(tech);
-                return out;
-            }
-        }
-        self.run_structural(&config, &mut ctx.bufs, &mut ctx.rewrite, mig)
-    }
+/// Structurally different but equivalent restructurings of `mig` used as
+/// extra e-graph seeds: the algebraic depth optimizer reshapes
+/// aggressively (Ω.D L→R pushes), a size recovery of that reshape lands
+/// in yet another basin, and the NPN-database depth-rewriter contributes
+/// structures the algebraic rules never produce. Their outputs merge
+/// with the input's, so extraction chooses the cheapest mix of all the
+/// structures plus everything saturation derives between them.
+fn variants(ctx: &mut OptContext, mig: &Mig) -> Vec<Mig> {
+    let jobs = ctx.jobs();
+    let bufs = &mut ctx.bufs;
+    let deep = optimize_depth_with(mig, SEED_DEPTH_EFFORT, bufs);
+    let recovered = optimize_size_with(&deep, SEED_SIZE_EFFORT, true, bufs);
+    let rw_deep = optimize_rewrite_with(
+        mig,
+        SEED_DEPTH_REWRITE_EFFORT,
+        Objective::DepthThenSize,
+        jobs,
+        bufs,
+        &mut ctx.rewrite,
+    );
+    vec![deep, recovered, rw_deep]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::opt::pipeline::Flow;
-    use crate::OptContext;
+    use crate::{OptContext, PassKind};
 
     fn fresh_env(g: &mut EGraph) -> [ELit; 5] {
         [g.input(0), g.input(1), g.input(2), g.input(3), g.input(4)]
@@ -1640,9 +1553,8 @@ mod tests {
         let b = mig.maj(x, y, v);
         let t = mig.maj(a, b, z);
         mig.add_output("f", t);
-        let pass = EsatPass::default();
         let mut ctx = OptContext::with_jobs(1);
-        let out = ctx.run_pass(&pass, mig.clone());
+        let out = ctx.run_pass(&*PassKind::Esat.build(2), mig.clone());
         assert!(out.equiv(&mig, 4));
         assert_eq!(out.size(), 2, "factored form is two nodes");
     }
@@ -1658,13 +1570,8 @@ mod tests {
             acc = mig.and(acc, s);
         }
         mig.add_output("y", acc);
-        let pass = EsatPass {
-            goal: Objective::DepthThenSize,
-            effort: 4,
-            config: None,
-        };
         let mut ctx = OptContext::with_jobs(1);
-        let out = ctx.run_pass(&pass, mig.clone());
+        let out = ctx.run_pass(&*PassKind::DepthEsat.build(4), mig.clone());
         assert!(out.equiv(&mig, 4));
         assert!(
             out.depth() < mig.depth(),

@@ -22,18 +22,21 @@ pub mod pipeline;
 pub mod rewrite;
 pub mod size;
 
-pub use activity::{optimize_activity, ActivityOptConfig};
-pub use depth::{optimize_depth, DepthOptConfig};
-pub use esat::{EGraph, ELit, EsatConfig, EsatPass, EsatRule, EsatStats, StopReason};
+pub use activity::optimize_activity;
+pub use depth::optimize_depth;
+pub use esat::{run_esat, EGraph, ELit, EsatConfig, EsatRule, EsatStats, StopReason};
 pub use pipeline::{
-    ActivityPass, Budget, DepthPass, Flow, FlowStep, LevelStats, MapPass, MappedMetrics,
-    OptContext, Pass, PassKind, PassMetrics, PassOutcome, PassReport, Repeat, RewritePass,
-    SimSpotCheck, SizePass, SpotCheck, TechModel,
+    Budget, Flow, FlowStep, LevelStats, MappedMetrics, OptContext, Pass, PassKind, PassMetrics,
+    PassOutcome, PassReport, Repeat, SimSpotCheck, SpotCheck, TechModel,
 };
-pub use rewrite::{enumerate_cuts, optimize_rewrite, CutSet, EnumeratedCut, RewriteConfig};
-pub use size::{optimize_size, SizeOptConfig};
+pub use rewrite::{enumerate_cuts, optimize_rewrite, CutSet, EnumeratedCut};
+pub use size::optimize_size;
 
 use crate::{Mig, NodeId, Signal};
+
+/// Gate-count bound on the reconvergent cones that the `Ψ.R` relevance
+/// rewrites of the size, depth and activity passes explore.
+pub(crate) const CONE_LIMIT: usize = 40;
 
 /// Reusable buffers for the rebuild-style optimization passes.
 ///

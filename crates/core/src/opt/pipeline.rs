@@ -65,10 +65,11 @@ use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use super::activity::{optimize_activity_with, ActivityOptConfig};
-use super::depth::{optimize_depth_with, DepthOptConfig};
-use super::rewrite::{optimize_rewrite_with, RewriteCache, RewriteConfig};
-use super::size::{optimize_size_with, SizeOptConfig};
+use super::activity::optimize_activity_with;
+use super::depth::optimize_depth_with;
+use super::esat::{run_esat, EsatConfig};
+use super::rewrite::{optimize_rewrite_with, resolve_jobs, RewriteCache};
+use super::size::optimize_size_with;
 use super::{Objective, OptBuffers};
 use crate::Mig;
 
@@ -363,10 +364,12 @@ impl OptContext {
         self.jobs
     }
 
-    /// Sets the rewrite-engine worker count (`0` = available
-    /// parallelism). Wall time only; never affects results.
-    pub fn set_jobs(&mut self, jobs: usize) {
-        self.jobs = jobs;
+    /// The concrete worker count the `jobs` setting resolves to: `jobs`
+    /// itself, or the machine's available parallelism when it is 0, in
+    /// both cases capped at 16. Exposed so harnesses (`mighty bench`)
+    /// can record the thread count a run actually used.
+    pub fn resolved_jobs(&self) -> usize {
+        resolve_jobs(self.jobs)
     }
 
     /// The wall-time ledger: one [`PassReport`] per executed pass, in
@@ -390,13 +393,6 @@ impl OptContext {
         // cost — never serve them for the new model.
         self.last_metrics = None;
         self.tech = Some(tech);
-    }
-
-    /// Removes the technology cost model, returning it (e.g. for a
-    /// final measurement outside the pipeline).
-    pub fn clear_tech(&mut self) -> Option<Box<dyn TechModel>> {
-        self.last_metrics = None;
-        self.tech.take()
     }
 
     /// The installed technology cost model, if any.
@@ -436,11 +432,6 @@ impl OptContext {
     /// leaks into the next.
     pub fn clear_spot_check(&mut self) -> Option<Box<dyn SpotCheck>> {
         self.spot_check.take()
-    }
-
-    /// The installed post-pass acceptance check, if any.
-    pub fn spot_check(&self) -> Option<&dyn SpotCheck> {
-        self.spot_check.as_deref()
     }
 
     /// Number of cut records currently held by the incremental rewrite
@@ -612,9 +603,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// A pass is a pure function from MIG to MIG (functionally equivalent
 /// output, deterministic for a given input and configuration); it takes
 /// the input by value so its arena can be recycled into the context's
-/// pool. The four paper optimizers and both rewrite modes implement
-/// this trait; external code can add custom passes and drive them
-/// through [`OptContext::run_pass`].
+/// pool. Every built-in pass is a [`PassKind`] at an `effort`
+/// ([`PassKind::build`]); external code can add custom passes and drive
+/// them through [`OptContext::run_pass`].
 pub trait Pass {
     /// Short lower-case name used in flow scripts, reports and the
     /// bench schema.
@@ -628,9 +619,7 @@ pub trait Pass {
     /// Whether one execution paid off: `after` strictly improves on
     /// `before` under the pass's own success metric. The `*`
     /// convergence marker re-runs the pass while this holds. Default:
-    /// the [`objective`](Pass::objective) cost; the activity pass
-    /// overrides it to compare the activity value itself (which the
-    /// `Cost` type cannot carry).
+    /// the [`objective`](Pass::objective) cost.
     fn improved(&self, before: &PassMetrics, after: &PassMetrics) -> bool {
         let obj = self.objective();
         obj.cost(after.size, after.depth) < obj.cost(before.size, before.depth)
@@ -640,180 +629,85 @@ pub trait Pass {
     fn run(&self, ctx: &mut OptContext, mig: Mig) -> Mig;
 }
 
-/// Algorithm 1 (node-count reduction) as a [`Pass`].
-#[derive(Debug, Clone, Default)]
-pub struct SizePass {
-    /// The underlying optimizer's tuning knobs.
-    pub config: SizeOptConfig,
+/// A built-in pass at one iteration budget, as [`PassKind::build`]
+/// returns it. `effort` is the only setting; everything else is fixed
+/// per kind.
+#[derive(Debug, Clone, Copy)]
+struct BuiltinPass {
+    kind: PassKind,
+    effort: usize,
 }
 
-impl Pass for SizePass {
+impl Pass for BuiltinPass {
     fn name(&self) -> &'static str {
-        "size"
-    }
-
-    fn run(&self, ctx: &mut OptContext, mig: Mig) -> Mig {
-        let out = optimize_size_with(&mig, &self.config, &mut ctx.bufs);
-        ctx.bufs.recycle(mig);
-        out
-    }
-}
-
-/// Algorithm 2 (logic-depth reduction) as a [`Pass`].
-#[derive(Debug, Clone, Default)]
-pub struct DepthPass {
-    /// The underlying optimizer's tuning knobs.
-    pub config: DepthOptConfig,
-}
-
-impl Pass for DepthPass {
-    fn name(&self) -> &'static str {
-        "depth"
+        self.kind.name()
     }
 
     fn objective(&self) -> Objective {
-        Objective::DepthThenSize
-    }
-
-    fn run(&self, ctx: &mut OptContext, mig: Mig) -> Mig {
-        let out = optimize_depth_with(&mig, &self.config, &mut ctx.bufs);
-        ctx.bufs.recycle(mig);
-        out
-    }
-}
-
-/// Section IV-C (switching-activity reduction) as a [`Pass`].
-#[derive(Debug, Clone, Default)]
-pub struct ActivityPass {
-    /// The underlying optimizer's tuning knobs.
-    pub config: ActivityOptConfig,
-    /// Per-input probabilities of being logic 1; `None` means uniform
-    /// 0.5 on every input (the configuration the suite reports use).
-    pub probs: Option<Vec<f64>>,
-}
-
-impl Pass for ActivityPass {
-    fn name(&self) -> &'static str {
-        "activity"
+        self.kind.objective()
     }
 
     /// `activity*` converges on the metric the pass actually minimizes:
     /// the switching-activity value (the pass may trade a little size
     /// for it within its slack, so the objective cost is the wrong
-    /// convergence signal here).
+    /// signal there). `map_area*` / `map_delay*` converge on the mapped
+    /// cost when both sides carry one. Everything else, and the mapped
+    /// passes without a measurement, compare the objective cost.
     fn improved(&self, before: &PassMetrics, after: &PassMetrics) -> bool {
-        after.activity < before.activity
+        let obj = self.kind.objective();
+        match (self.kind, &before.mapped, &after.mapped) {
+            (PassKind::Activity, _, _) => after.activity < before.activity,
+            (PassKind::MapArea | PassKind::MapDelay, Some(b), Some(a)) => {
+                obj.mapped_cost(a) < obj.mapped_cost(b)
+            }
+            _ => obj.cost(after.size, after.depth) < obj.cost(before.size, before.depth),
+        }
     }
 
     fn run(&self, ctx: &mut OptContext, mig: Mig) -> Mig {
-        let uniform;
-        let probs = match &self.probs {
-            Some(p) => p.as_slice(),
-            None => {
-                uniform = vec![0.5; mig.num_inputs()];
-                uniform.as_slice()
+        let (kind, effort) = (self.kind, self.effort);
+        let out = match kind {
+            PassKind::Size => optimize_size_with(&mig, effort, true, &mut ctx.bufs),
+            PassKind::Depth => optimize_depth_with(&mig, effort, &mut ctx.bufs),
+            // The flow pass weighs every input at probability 0.5.
+            PassKind::Activity => {
+                let uniform = vec![0.5; mig.num_inputs()];
+                optimize_activity_with(&mig, &uniform, effort, &mut ctx.bufs)
             }
+            // The rewrite passes draw the persistent cut/candidate cache
+            // and the worker scratch pool from the context, so
+            // consecutive rewrite steps of a flow (even with algebraic
+            // passes in between) reuse translated cut sets instead of
+            // re-enumerating.
+            PassKind::Rewrite | PassKind::DepthRewrite => optimize_rewrite_with(
+                &mig,
+                effort,
+                kind.objective(),
+                ctx.jobs,
+                &mut ctx.bufs,
+                &mut ctx.rewrite,
+            ),
+            PassKind::Esat | PassKind::DepthEsat => {
+                let config = EsatConfig::for_pass(effort, &ctx.budget);
+                return run_esat(ctx, mig, kind.objective(), &config);
+            }
+            PassKind::MapArea | PassKind::MapDelay => return self.map_recover(ctx, mig),
         };
-        let out = optimize_activity_with(&mig, probs, &self.config, &mut ctx.bufs);
         ctx.bufs.recycle(mig);
         out
     }
 }
 
-/// Cut-based Boolean rewriting as a [`Pass`] — both flow passes in one
-/// struct: with `config.goal` at [`Objective::SizeThenDepth`] this is
-/// the `rewrite` pass, at [`Objective::DepthThenSize`] the
-/// `depth_rewrite` pass. The pass draws the persistent
-/// cut/candidate cache and the worker scratch pool from the context, so
-/// consecutive rewrite steps of a flow (even with algebraic passes in
-/// between) reuse translated cut sets instead of re-enumerating, and a
-/// `config.jobs` of 0 defers to the context's `jobs` setting.
-#[derive(Debug, Clone, Default)]
-pub struct RewritePass {
-    /// The underlying engine's tuning knobs (`goal` picks the mode).
-    pub config: RewriteConfig,
-}
-
-impl Pass for RewritePass {
-    fn name(&self) -> &'static str {
-        match self.config.goal.structural() {
-            Objective::SizeThenDepth => "rewrite",
-            _ => "depth_rewrite",
-        }
-    }
-
-    fn objective(&self) -> Objective {
-        self.config.goal
-    }
-
-    fn run(&self, ctx: &mut OptContext, mig: Mig) -> Mig {
-        let config = RewriteConfig {
-            jobs: if self.config.jobs == 0 {
-                ctx.jobs
-            } else {
-                self.config.jobs
-            },
-            ..self.config.clone()
-        };
-        let out = optimize_rewrite_with(&mig, &config, &mut ctx.bufs, &mut ctx.rewrite);
-        ctx.bufs.recycle(mig);
-        out
-    }
-}
-
-/// Technology-aware recovery as a [`Pass`] — the `map_area` /
-/// `map_delay` flow steps. The pass re-runs the structural passes that
-/// best track its mapped objective (`size` + `rewrite` for area,
-/// `depth` + `depth_rewrite` for delay) and keeps the iterate with the
-/// lowest *mapped* cost as measured by the context's [`TechModel`] —
-/// the honest objective the structural passes cannot see. Without an
-/// installed model the pass is a no-op (flows stay parseable and
-/// runnable in purely structural pipelines).
-#[derive(Debug, Clone)]
-pub struct MapPass {
-    /// The mapped objective: [`Objective::MappedArea`] (the `map_area`
-    /// pass) or [`Objective::MappedDelay`] (`map_delay`). Structural
-    /// objectives behave like their mapped counterpart per
-    /// [`Objective::structural`] pairing.
-    pub goal: Objective,
-    /// Iteration budget handed to the inner structural passes.
-    pub effort: usize,
-}
-
-impl Default for MapPass {
-    fn default() -> Self {
-        MapPass {
-            goal: Objective::MappedArea,
-            effort: 1,
-        }
-    }
-}
-
-impl Pass for MapPass {
-    fn name(&self) -> &'static str {
-        match self.goal.structural() {
-            Objective::SizeThenDepth => "map_area",
-            _ => "map_delay",
-        }
-    }
-
-    fn objective(&self) -> Objective {
-        self.goal
-    }
-
-    /// `map_area*` / `map_delay*` converge on the mapped cost when both
-    /// sides carry one; structural cost is the fallback signal.
-    fn improved(&self, before: &PassMetrics, after: &PassMetrics) -> bool {
-        match (&before.mapped, &after.mapped) {
-            (Some(b), Some(a)) => self.goal.mapped_cost(a) < self.goal.mapped_cost(b),
-            _ => {
-                let obj = self.goal.structural();
-                obj.cost(after.size, after.depth) < obj.cost(before.size, before.depth)
-            }
-        }
-    }
-
-    fn run(&self, ctx: &mut OptContext, mig: Mig) -> Mig {
+impl BuiltinPass {
+    /// Technology-aware recovery — the `map_area` / `map_delay` flow
+    /// steps. Re-runs the structural passes that best track the mapped
+    /// objective (`size` + `rewrite` for area, `depth` +
+    /// `depth_rewrite` for delay) and keeps the iterate with the lowest
+    /// *mapped* cost as measured by the context's [`TechModel`] — the
+    /// honest objective the structural passes cannot see. Without an
+    /// installed model the pass is a no-op (flows stay parseable and
+    /// runnable in purely structural pipelines).
+    fn map_recover(&self, ctx: &mut OptContext, mig: Mig) -> Mig {
         // Take the model out so the inner structural passes (driven
         // directly, off-ledger) don't pay a mapper run per iterate
         // measurement; it goes back before returning — including on an
@@ -823,32 +717,36 @@ impl Pass for MapPass {
             return mig;
         };
         ctx.last_metrics = None;
-        let result = catch_unwind(AssertUnwindSafe(|| self.search(ctx, tech.as_ref(), mig)));
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            self.map_search(ctx, tech.as_ref(), mig)
+        }));
         ctx.set_tech(tech);
         match result {
             Ok(best) => best,
             Err(payload) => resume_unwind(payload),
         }
     }
-}
 
-impl MapPass {
     /// The mapped-cost recovery loop proper: alternate the structural
     /// passes and keep the best mapped cost seen.
-    fn search(&self, ctx: &mut OptContext, tech: &dyn TechModel, mig: Mig) -> Mig {
-        let kinds: &[PassKind] = match self.goal.structural() {
-            Objective::SizeThenDepth => &[PassKind::Size, PassKind::Rewrite],
-            _ => &[PassKind::Depth, PassKind::DepthRewrite],
+    fn map_search(&self, ctx: &mut OptContext, tech: &dyn TechModel, mig: Mig) -> Mig {
+        let goal = self.kind.objective();
+        let kinds = match goal.structural() {
+            Objective::SizeThenDepth => [PassKind::Size, PassKind::Rewrite],
+            _ => [PassKind::Depth, PassKind::DepthRewrite],
         };
-        let passes: Vec<Box<dyn Pass>> = kinds.iter().map(|k| k.build(self.effort)).collect();
         let mut best = mig;
-        let mut best_cost = self.goal.mapped_cost(&tech.measure(&best));
+        let mut best_cost = goal.mapped_cost(&tech.measure(&best));
         let mut cur = best.clone();
         for _ in 0..CONVERGE_CAP {
-            for pass in &passes {
+            for kind in kinds {
+                let pass = BuiltinPass {
+                    kind,
+                    effort: self.effort,
+                };
                 cur = pass.run(ctx, cur);
             }
-            let cost = self.goal.mapped_cost(&tech.measure(&cur));
+            let cost = goal.mapped_cost(&tech.measure(&cur));
             if cost < best_cost {
                 ctx.bufs.recycle(std::mem::replace(&mut best, cur.clone()));
                 best_cost = cost;
@@ -875,7 +773,7 @@ pub enum PassKind {
     /// Depth-oriented Boolean rewriting — `depth_rewrite`.
     DepthRewrite,
     /// Equality-saturation rewriting — `esat` (see
-    /// [`EsatPass`](super::esat::EsatPass)).
+    /// [`run_esat`](super::esat::run_esat)).
     Esat,
     /// Depth-oriented equality-saturation rewriting — `depth_esat`.
     DepthEsat,
@@ -935,63 +833,13 @@ impl PassKind {
         }
     }
 
-    /// Instantiates the pass with its default configuration at the
-    /// given iteration budget (clamped to at least 1) — exactly the
-    /// per-pass configuration the legacy `run_opt` if-chain used.
+    /// Instantiates the pass at the given iteration budget (clamped to
+    /// at least 1). `effort` is a built-in pass's only setting.
     pub fn build(self, effort: usize) -> Box<dyn Pass> {
-        let effort = effort.max(1);
-        match self {
-            PassKind::Size => Box::new(SizePass {
-                config: SizeOptConfig {
-                    effort,
-                    ..SizeOptConfig::default()
-                },
-            }),
-            PassKind::Depth => Box::new(DepthPass {
-                config: DepthOptConfig {
-                    effort,
-                    ..DepthOptConfig::default()
-                },
-            }),
-            PassKind::Activity => Box::new(ActivityPass {
-                config: ActivityOptConfig {
-                    effort,
-                    ..ActivityOptConfig::default()
-                },
-                probs: None,
-            }),
-            PassKind::Rewrite => Box::new(RewritePass {
-                config: RewriteConfig {
-                    effort,
-                    ..RewriteConfig::default()
-                },
-            }),
-            PassKind::DepthRewrite => Box::new(RewritePass {
-                config: RewriteConfig {
-                    effort,
-                    goal: Objective::DepthThenSize,
-                    ..RewriteConfig::default()
-                },
-            }),
-            PassKind::Esat => Box::new(super::esat::EsatPass {
-                goal: Objective::SizeThenDepth,
-                effort,
-                config: None,
-            }),
-            PassKind::DepthEsat => Box::new(super::esat::EsatPass {
-                goal: Objective::DepthThenSize,
-                effort,
-                config: None,
-            }),
-            PassKind::MapArea => Box::new(MapPass {
-                goal: Objective::MappedArea,
-                effort,
-            }),
-            PassKind::MapDelay => Box::new(MapPass {
-                goal: Objective::MappedDelay,
-                effort,
-            }),
-        }
+        Box::new(BuiltinPass {
+            kind: self,
+            effort: effort.max(1),
+        })
     }
 }
 
@@ -1151,7 +999,7 @@ impl fmt::Display for Flow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{optimize_depth, optimize_size, DepthOptConfig, Signal, SizeOptConfig};
+    use crate::{optimize_depth, optimize_size, Signal};
 
     fn xor_tangle() -> Mig {
         let mut mig = Mig::new("tangle");
@@ -1238,19 +1086,7 @@ mod tests {
         let flowed = Flow::parse("size; depth")
             .unwrap()
             .run(mig.clone(), 2, &mut ctx);
-        let manual = optimize_depth(
-            &optimize_size(
-                &mig,
-                &SizeOptConfig {
-                    effort: 2,
-                    ..SizeOptConfig::default()
-                },
-            ),
-            &DepthOptConfig {
-                effort: 2,
-                ..DepthOptConfig::default()
-            },
-        );
+        let manual = optimize_depth(&optimize_size(&mig, 2), 2);
         assert!(flowed.equiv(&mig, 4));
         assert_eq!(flowed.num_nodes(), manual.num_nodes());
         for node in flowed.gate_ids() {
@@ -1331,7 +1167,7 @@ mod tests {
         // The activity pass may trade a little size within its slack;
         // `activity*` must keep iterating while the activity value
         // falls, and stop when it does not — size is not the signal.
-        let pass = ActivityPass::default();
+        let pass = PassKind::Activity.build(1);
         let before = PassMetrics {
             size: 10,
             depth: 5,
@@ -1347,7 +1183,7 @@ mod tests {
         assert!(pass.improved(&before, &larger_but_calmer));
         assert!(!pass.improved(&larger_but_calmer, &before));
         // The default (objective-cost) rule still drives the others.
-        let size_pass = SizePass::default();
+        let size_pass = PassKind::Size.build(1);
         assert!(size_pass.improved(
             &before,
             &PassMetrics {

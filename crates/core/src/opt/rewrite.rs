@@ -9,7 +9,7 @@
 //! NPN-canonizes it, and looks the class up in the precomputed
 //! optimal-structure database. A match is replayed through the hashing
 //! constructor on the cut leaves and accepted only when MFFC accounting
-//! proves a strict size gain (or, optionally, an equal-size depth gain).
+//! proves a strict size gain (or an equal-size depth gain).
 //!
 //! Each sweep is split into two phases (`DESIGN.md` §9):
 //!
@@ -75,76 +75,25 @@ const PAR_THRESHOLD: usize = 128;
 /// round.
 const ROUNDS_PER_EFFORT: usize = 4;
 
-/// Candidate-slot storage width per node. With the default `max_cuts`
-/// of 8 this holds every non-unit cut, so the commit-side scoring sees
-/// the full candidate space (quality is never traded for cache hits).
+/// Maximum cut width of the rewriting engine (truth tables are 16-bit).
+const CUT_SIZE: usize = 4;
+
+/// Priority-cut bound: how many non-unit cuts are kept per node. It is
+/// also the candidate-slot storage width, so the commit-side scoring
+/// sees the full candidate space (quality is never traded for cache
+/// hits).
 const MAX_NODE_CANDS: usize = 8;
 
-/// Tuning knobs for [`optimize_rewrite`].
-#[derive(Debug, Clone)]
-pub struct RewriteConfig {
-    /// Maximum cut width (clamped to 2..=4; truth tables are 16-bit).
-    pub cut_size: usize,
-    /// Priority-cut bound: how many cuts are kept per node (plus the
-    /// unit cut). Clamped to 1..=8 — the candidate-slot width — so the
-    /// commit phase always scores every stored cut.
-    pub max_cuts: usize,
-    /// Rewrite → eliminate round budget (each unit buys
-    /// several incremental sweeps; the pass stops early at a fixpoint).
-    pub effort: usize,
-    /// Accept zero-gain replacements that strictly reduce the local
-    /// logic level (size-then-depth acceptance).
-    pub depth_tiebreak: bool,
-    /// Evaluate-phase worker threads (`0` = available parallelism,
-    /// capped at 16). The thread count never changes the result:
-    /// evaluation is read-only and commits are serialized
-    /// deterministically.
-    pub jobs: usize,
-    /// Acceptance objective. [`Objective::SizeThenDepth`] (the default)
-    /// is classic size rewriting: a replacement must save nodes, with
-    /// local depth as the tiebreak. [`Objective::DepthThenSize`] is the
-    /// depth-aware mode (the `depth_rewrite` flow pass): a replacement
-    /// must land its root at a strictly lower level — never adding nodes
-    /// — with the node gain as the tiebreak, and the sweep-level guard
-    /// keeps the best `(depth, size)` graph instead of `(size, depth)`.
-    pub goal: Objective,
-}
-
-impl Default for RewriteConfig {
-    fn default() -> Self {
-        RewriteConfig {
-            cut_size: 4,
-            max_cuts: 8,
-            effort: 2,
-            depth_tiebreak: true,
-            jobs: 0,
-            goal: Objective::SizeThenDepth,
-        }
-    }
-}
-
-impl RewriteConfig {
-    /// The concrete worker count this configuration resolves to: `jobs`
-    /// itself, or the machine's available parallelism when it is 0, in
-    /// both cases capped at 16. Exposed so harnesses (`mighty bench`)
-    /// can record the thread count a run actually used.
-    pub fn resolved_jobs(&self) -> usize {
-        let n = if self.jobs == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.jobs
-        };
-        n.clamp(1, MAX_JOBS)
-    }
-}
-
-/// Resolves a `jobs` knob to a concrete worker count.
-fn resolve_jobs(jobs: usize) -> usize {
-    RewriteConfig {
-        jobs,
-        ..RewriteConfig::default()
-    }
-    .resolved_jobs()
+/// Resolves a `jobs` setting to a concrete evaluate-phase worker count:
+/// `jobs` itself, or the machine's available parallelism when it is 0,
+/// in both cases capped at 16.
+pub(crate) fn resolve_jobs(jobs: usize) -> usize {
+    let n = if jobs == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        jobs
+    };
+    n.clamp(1, MAX_JOBS)
 }
 
 /// Deterministic contiguous chunk `i` of `jobs` over `len` items.
@@ -578,16 +527,18 @@ fn translate_cut(cut: &Cut, map: &[Signal], out_flip: bool, target: usize) -> Op
 }
 
 /// Boolean rewriting: repeatedly rewrites cuts against the database and
-/// recovers size with `Ω.D` elimination, keeping the best graph seen
-/// under `config.goal` — `(size, depth)` in the default size mode,
-/// `(depth, size)` in the depth-aware mode. The result is functionally
-/// equivalent to the input, never larger, and bit-identical for every
-/// `jobs` setting.
+/// recovers size with `Ω.D` elimination for up to `effort` round budgets,
+/// keeping the best `(size, depth)` graph seen. The result is
+/// functionally equivalent to the input, never larger, and bit-identical
+/// for every worker count: this entry point uses the machine's available
+/// parallelism, the `rewrite` flow pass its
+/// [`OptContext`](super::OptContext)'s `jobs` setting. The depth-aware
+/// mode is the `depth_rewrite` flow pass.
 ///
 /// # Example
 ///
 /// ```
-/// use mig_core::{Mig, optimize_rewrite, RewriteConfig};
+/// use mig_core::{Mig, optimize_rewrite};
 ///
 /// // XOR3 built from two cascaded 3-node XOR2s: 6 nodes. The database
 /// // holds the paper's optimal 3-node XOR3 structure (Fig. 2(b)).
@@ -599,14 +550,16 @@ fn translate_cut(cut: &Cut, map: &[Signal], out_flip: bool, target: usize) -> Op
 /// let f = mig.xor(t, c);
 /// mig.add_output("f", f);
 /// assert_eq!(mig.size(), 6);
-/// let opt = optimize_rewrite(&mig, &RewriteConfig::default());
+/// let opt = optimize_rewrite(&mig, 2);
 /// assert!(opt.equiv(&mig, 4));
 /// assert_eq!(opt.size(), 3);
 /// ```
-pub fn optimize_rewrite(mig: &Mig, config: &RewriteConfig) -> Mig {
+pub fn optimize_rewrite(mig: &Mig, effort: usize) -> Mig {
     optimize_rewrite_with(
         mig,
-        config,
+        effort,
+        Objective::SizeThenDepth,
+        0,
         &mut OptBuffers::new(),
         &mut RewriteCache::default(),
     )
@@ -614,16 +567,27 @@ pub fn optimize_rewrite(mig: &Mig, config: &RewriteConfig) -> Mig {
 
 /// [`optimize_rewrite`] with caller-provided buffers, so composite flows
 /// share one arena pool and one cut/canonization cache.
+///
+/// `goal` is the acceptance objective. [`Objective::SizeThenDepth`] is
+/// classic size rewriting: a replacement must save nodes, with local
+/// depth as the tiebreak. [`Objective::DepthThenSize`] is the
+/// depth-aware mode: a replacement must land its root at a strictly
+/// lower level — never adding nodes — with the node gain as the
+/// tiebreak, and the sweep-level guard keeps the best `(depth, size)`
+/// graph. `jobs` is the evaluate-phase worker count (`0` = available
+/// parallelism); it never changes the result.
 pub(crate) fn optimize_rewrite_with(
     mig: &Mig,
-    config: &RewriteConfig,
+    effort: usize,
+    goal: Objective,
+    jobs: usize,
     bufs: &mut OptBuffers,
     rc: &mut RewriteCache,
 ) -> Mig {
     let mut best = mig.cleanup();
-    let rounds = config.effort.max(1) * ROUNDS_PER_EFFORT;
+    let rounds = effort.max(1) * ROUNDS_PER_EFFORT;
     for round in 0..rounds {
-        let swept = rewrite_sweep(&best, config, bufs, rc);
+        let swept = rewrite_sweep(&best, goal, jobs, bufs, rc);
         if swept.is_none() && round > 0 {
             break;
         }
@@ -654,7 +618,7 @@ pub(crate) fn optimize_rewrite_with(
                 best.depth()
             );
         }
-        if config.goal.of(&cur) < config.goal.of(&best) {
+        if goal.of(&cur) < goal.of(&best) {
             bufs.recycle(std::mem::replace(&mut best, cur));
         } else {
             bufs.recycle(cur);
@@ -712,17 +676,14 @@ struct EvalCtx<'a> {
 /// fixpoint; the cache still describes `old`).
 fn rewrite_sweep(
     old: &Mig,
-    config: &RewriteConfig,
+    goal: Objective,
+    jobs: usize,
     bufs: &mut OptBuffers,
     rc: &mut RewriteCache,
 ) -> Option<Mig> {
-    let k = config.cut_size.clamp(2, 4);
-    // The upper bound matches the candidate-slot width, so every stored
-    // cut has a slot and the commit phase scores the full cut set.
-    let max_cuts = config.max_cuts.clamp(1, MAX_NODE_CANDS);
-    let jobs = resolve_jobs(config.jobs);
+    let jobs = resolve_jobs(jobs);
     let db = MigDatabase::global();
-    rc.bind(old, max_cuts + 1);
+    rc.bind(old, MAX_NODE_CANDS + 1);
 
     {
         let mark = old.reach_ref();
@@ -747,7 +708,7 @@ fn rewrite_sweep(
     let trace = std::env::var_os("MIG_REWRITE_TRACE").is_some();
     let t0 = std::time::Instant::now();
     let mut workers = rc.workers.take_n(jobs);
-    let n_enum = enumerate_changed(old, rc, k, max_cuts, jobs, &mut workers);
+    let n_enum = enumerate_changed(old, rc, CUT_SIZE, MAX_NODE_CANDS, jobs, &mut workers);
     let t1 = std::time::Instant::now();
     let n_eval = evaluate(old, rc, db, jobs, &mut workers);
     let t2 = std::time::Instant::now();
@@ -765,7 +726,7 @@ fn rewrite_sweep(
         return None;
     }
 
-    let (new, committed) = commit(old, rc, bufs, db, config.goal, config.depth_tiebreak);
+    let (new, committed) = commit(old, rc, bufs, db, goal);
     if trace {
         eprintln!(
             "  sweep: enum={n_enum}/{} in {:.2}ms eval={n_eval} in {:.2}ms commit={} in {:.2}ms",
@@ -1121,7 +1082,6 @@ fn commit(
     bufs: &mut OptBuffers,
     db: &MigDatabase,
     goal: Objective,
-    tiebreak: bool,
 ) -> (Mig, usize) {
     crate::faultpoint!("rewrite.commit");
     let view = old.view();
@@ -1154,12 +1114,9 @@ fn commit(
             .max()
             .expect("three children");
         // The acceptance threshold is the node's default reconstruction:
-        // gain 0 at `default_level`. Without the tiebreak a candidate
-        // must strictly beat the default on the primary metric alone.
-        let mut threshold = goal.local(0, default_level);
-        if !tiebreak {
-            threshold.tiebreak = i64::MIN;
-        }
+        // gain 0 at `default_level`, so a zero-gain replacement is kept
+        // when it wins on the tiebreak.
+        let threshold = goal.local(0, default_level);
         let mut plan: Option<(Cut, Npn4Transform, Cost)> = None;
         for si in 0..rc.ncands[idx] as usize {
             let ci = rc.slots[idx * MAX_NODE_CANDS + si] as usize;
@@ -1448,9 +1405,10 @@ impl CutSet {
 
 /// Runs one full priority-cut enumeration over every reachable gate of
 /// `mig` and returns the per-node cut sets — exactly the enumeration the
-/// Boolean rewriting engine performs on its first sweep (`cut_size`
-/// clamped to 2..=4, `max_cuts` non-unit cuts kept per node, clamped to
-/// 1..=8), single-threaded and deterministic.
+/// Boolean rewriting engine performs on its first sweep when called with
+/// its cut width 4 and 8 priority cuts (`cut_size` is clamped to 2..=4,
+/// `max_cuts` non-unit cuts are kept per node, clamped to 1..=8),
+/// single-threaded and deterministic.
 ///
 /// # Example
 ///
@@ -1541,7 +1499,7 @@ mod tests {
         let f = mig.xor(t, c);
         mig.add_output("f", f);
         assert_eq!(mig.size(), 6);
-        let opt = optimize_rewrite(&mig, &RewriteConfig::default());
+        let opt = optimize_rewrite(&mig, 2);
         assert!(opt.equiv(&mig, 4));
         assert_eq!(opt.size(), 3, "database holds the 3-node XOR3");
     }
@@ -1556,7 +1514,7 @@ mod tests {
         let f = mig.or(p, q);
         mig.add_output("f", f);
         assert_eq!(mig.size(), 3);
-        let opt = optimize_rewrite(&mig, &RewriteConfig::default());
+        let opt = optimize_rewrite(&mig, 2);
         assert!(opt.equiv(&mig, 4));
         assert_eq!(opt.size(), 0);
         assert_eq!(opt.outputs()[0].1, opt.input(0));
@@ -1570,7 +1528,7 @@ mod tests {
         let q = mig.or(!a, !b);
         let f = mig.and(p, q);
         mig.add_output("f", f);
-        let opt = optimize_rewrite(&mig, &RewriteConfig::default());
+        let opt = optimize_rewrite(&mig, 2);
         assert!(opt.equiv(&mig, 4));
         assert_eq!(opt.size(), 0);
         assert!(opt.outputs()[0].1.is_constant());
@@ -1590,7 +1548,7 @@ mod tests {
         mig.add_output("y", m4);
         mig.add_output("z", m2);
         let before = mig.size();
-        let opt = optimize_rewrite(&mig, &RewriteConfig::default());
+        let opt = optimize_rewrite(&mig, 2);
         assert!(opt.equiv(&mig, 4));
         assert!(opt.size() <= before, "{} > {}", opt.size(), before);
     }
@@ -1604,7 +1562,7 @@ mod tests {
         let f = mig.xor(t, c);
         mig.add_output("f", f);
         mig.add_output("t", t); // t has external fanout
-        let opt = optimize_rewrite(&mig, &RewriteConfig::default());
+        let opt = optimize_rewrite(&mig, 2);
         assert!(opt.equiv(&mig, 4));
         assert!(opt.size() <= mig.size());
     }
@@ -1626,12 +1584,13 @@ mod tests {
         }
         mig.add_output("y", acc);
         let run = |jobs: usize| {
-            optimize_rewrite(
+            optimize_rewrite_with(
                 &mig,
-                &RewriteConfig {
-                    jobs,
-                    ..RewriteConfig::default()
-                },
+                2,
+                Objective::SizeThenDepth,
+                jobs,
+                &mut OptBuffers::new(),
+                &mut RewriteCache::default(),
             )
         };
         let base = run(1);
@@ -1660,10 +1619,10 @@ mod tests {
         mig.add_output("f", f);
         let mut bufs = OptBuffers::new();
         let mut rc = RewriteCache::default();
-        let config = RewriteConfig::default();
-        let first = optimize_rewrite_with(&mig, &config, &mut bufs, &mut rc);
-        let second = optimize_rewrite_with(&mig, &config, &mut bufs, &mut rc);
-        let fresh = optimize_rewrite(&mig, &config);
+        let goal = Objective::SizeThenDepth;
+        let first = optimize_rewrite_with(&mig, 2, goal, 0, &mut bufs, &mut rc);
+        let second = optimize_rewrite_with(&mig, 2, goal, 0, &mut bufs, &mut rc);
+        let fresh = optimize_rewrite(&mig, 2);
         for out in [&first, &second] {
             assert_eq!(out.size(), fresh.size());
             assert_eq!(out.depth(), fresh.depth());

@@ -5,7 +5,7 @@
 //! objective, whatever the saturation budget managed to explore.
 
 use mig_suite::benchgen::generate;
-use mig_suite::mig::{Budget, EsatConfig, EsatPass, Flow, Mig, Objective, OptContext, Pass};
+use mig_suite::mig::{run_esat, Budget, EsatConfig, Flow, Mig, Objective, OptContext};
 
 /// Number of 64-pattern blocks for the random half of equivalence checks.
 const ROUNDS: usize = 16;
@@ -61,18 +61,14 @@ fn esat_extraction_never_exceeds_the_prepass_cost() {
         let net = generate(bench).expect("known benchmark");
         let mig = Mig::from_network(&net);
         for goal in [Objective::SizeThenDepth, Objective::DepthThenSize] {
-            let pass = EsatPass {
-                goal,
-                effort: 2,
-                config: Some(EsatConfig {
-                    iters: 4,
-                    enode_cap: cap,
-                    time_ms: None,
-                    scan_cap: 8,
-                }),
+            let config = EsatConfig {
+                iters: 4,
+                enode_cap: cap,
+                time_ms: None,
+                scan_cap: 8,
             };
             let mut ctx = OptContext::with_jobs(1);
-            let out = pass.run(&mut ctx, mig.clone());
+            let out = run_esat(&mut ctx, mig.clone(), goal, &config);
             let (before, after) = (goal.of(&mig), goal.of(&out));
             assert!(
                 after <= before,

@@ -73,6 +73,21 @@ fn parser_round_trips_on_generated_scripts() {
     }
 }
 
+/// Every built pass reports its kind's flow-script name, so the ledger,
+/// the CLI report and the bench gates see the step the script named.
+#[test]
+fn built_passes_are_ledgered_under_their_own_name() {
+    for kind in PassKind::ALL {
+        assert_eq!(kind.build(1).name(), kind.name());
+        assert_eq!(kind.build(1).objective(), kind.objective());
+    }
+    let mig = corpus().swap_remove(0);
+    let mut ctx = OptContext::with_jobs(1);
+    Flow::parse("depth_esat").unwrap().run(mig, 1, &mut ctx);
+    let names: Vec<&str> = ctx.ledger().iter().map(|r| r.pass.as_str()).collect();
+    assert_eq!(names, ["depth_esat"]);
+}
+
 /// The corpus: small layered reconvergent netlists in assorted shapes.
 fn corpus() -> Vec<Mig> {
     let mut seeds = SplitMix64::seed_from_u64(0xC0FF_EE00_F10E_0001);

@@ -15,7 +15,10 @@
 use std::sync::Mutex;
 
 use mig_suite::benchgen::{generate, layered_random, RandomLogicParams};
-use mig_suite::mig::{Budget, Flow, Mig, OptContext, Pass, PassOutcome, RewritePass, SimSpotCheck};
+use mig_suite::mig::{
+    run_esat, Budget, EsatConfig, Flow, Mig, Objective, OptContext, Pass, PassKind, PassOutcome,
+    SimSpotCheck,
+};
 use mig_suite::netlist::SplitMix64;
 
 /// Number of 64-pattern blocks for the random half of equivalence checks.
@@ -94,6 +97,28 @@ impl Pass for SlowPass {
     }
 }
 
+/// The saturation pass under an explicit (adversarial) config, so the
+/// pass manager's rollback boundary wraps it like any built-in pass.
+#[derive(Debug)]
+struct EsatWithConfig {
+    goal: Objective,
+    config: EsatConfig,
+}
+
+impl Pass for EsatWithConfig {
+    fn name(&self) -> &'static str {
+        "esat_test"
+    }
+
+    fn objective(&self) -> Objective {
+        self.goal
+    }
+
+    fn run(&self, ctx: &mut OptContext, mig: Mig) -> Mig {
+        run_esat(ctx, mig, self.goal, &self.config)
+    }
+}
+
 #[test]
 fn panicking_pass_rolls_back_bit_identically() {
     let _g = lock();
@@ -122,7 +147,7 @@ fn node_cap_rolls_back_a_growing_pass() {
         max_nodes: Some(mig.size()),
         ..Budget::unlimited()
     });
-    let out = ctx.run_pass(&mig_suite::mig::DepthPass::default(), mig);
+    let out = ctx.run_pass(&*PassKind::Depth.build(6), mig);
     assert_same_mig(&out, &snapshot);
     let ledger = ctx.take_ledger();
     assert_eq!(ledger[0].outcome, PassOutcome::RolledBack);
@@ -191,7 +216,7 @@ fn spot_check_rejects_a_corrupting_pass() {
         ledger[0].note
     );
     // An honest pass under the same spot check sails through.
-    let out2 = ctx.run_pass(&mig_suite::mig::SizePass::default(), out);
+    let out2 = ctx.run_pass(&*PassKind::Size.build(4), out);
     assert_eq!(ctx.take_ledger()[0].outcome, PassOutcome::Completed);
     assert!(out2.equiv(&snapshot, ROUNDS));
 }
@@ -204,7 +229,7 @@ fn spot_check_rejects_a_corrupting_pass() {
 fn clean_pass_after_rollback_matches_from_scratch() {
     let _g = lock();
     let mut rng = SplitMix64::seed_from_u64(0x0DD5_EED5_0F57_A7E5);
-    let rewrite = RewritePass::default();
+    let rewrite = PassKind::Rewrite.build(2);
     for case in 0..6 {
         let params = RandomLogicParams {
             inputs: 6 + (rng.next_u64() % 4) as usize,
@@ -220,10 +245,10 @@ fn clean_pass_after_rollback_matches_from_scratch() {
         // corrupting pass (rolled back by the spot check), rewrite.
         let mut faulty = OptContext::with_jobs(1);
         faulty.set_spot_check(Box::new(SimSpotCheck::new(ROUNDS)));
-        let mut cur = faulty.run_pass(&rewrite, mig.clone());
+        let mut cur = faulty.run_pass(&*rewrite, mig.clone());
         cur = faulty.run_pass(&PanicPass, cur);
         cur = faulty.run_pass(&CorruptPass, cur);
-        let from_faulty = faulty.run_pass(&rewrite, cur);
+        let from_faulty = faulty.run_pass(&*rewrite, cur);
         let outcomes: Vec<PassOutcome> = faulty.take_ledger().iter().map(|r| r.outcome).collect();
         assert_eq!(
             outcomes,
@@ -238,8 +263,8 @@ fn clean_pass_after_rollback_matches_from_scratch() {
 
         // Clean trajectory: the same two rewrites, nothing in between.
         let mut clean = OptContext::with_jobs(1);
-        let cur = clean.run_pass(&rewrite, mig.clone());
-        let from_clean = clean.run_pass(&rewrite, cur);
+        let cur = clean.run_pass(&*rewrite, mig.clone());
+        let from_clean = clean.run_pass(&*rewrite, cur);
 
         assert_same_mig(&from_faulty, &from_clean);
         assert!(from_faulty.equiv(&mig, ROUNDS), "case {case}");
@@ -287,7 +312,7 @@ fn esat_survives_mutated_and_truncated_netlists_under_tiny_budgets() {
             }
         }
 
-        let config = mig_suite::mig::EsatConfig {
+        let config = EsatConfig {
             iters: 1 + (rng.next_u64() % 6) as usize,
             enode_cap: 1 + (rng.next_u64() % 600) as usize,
             time_ms: match rng.next_u64() % 3 {
@@ -297,14 +322,10 @@ fn esat_survives_mutated_and_truncated_netlists_under_tiny_budgets() {
             },
             scan_cap: (rng.next_u64() % 20) as usize,
         };
-        for goal in [
-            mig_suite::mig::Objective::SizeThenDepth,
-            mig_suite::mig::Objective::DepthThenSize,
-        ] {
-            let pass = mig_suite::mig::EsatPass {
+        for goal in [Objective::SizeThenDepth, Objective::DepthThenSize] {
+            let pass = EsatWithConfig {
                 goal,
-                effort: 1,
-                config: Some(config.clone()),
+                config: config.clone(),
             };
             let mut ctx = OptContext::with_jobs(1);
             let out = ctx.run_pass(&pass, mig.clone());

@@ -4,7 +4,7 @@
 //! database match must deliver a strict improvement (the measured deltas
 //! live in `EXPERIMENTS.md`).
 
-use mig_suite::mig::{optimize_rewrite, optimize_size, Mig, RewriteConfig, SizeOptConfig};
+use mig_suite::mig::{optimize_rewrite, optimize_size, Mig};
 
 /// Number of 64-pattern blocks for the random half of equivalence checks.
 const ROUNDS: usize = 16;
@@ -17,14 +17,14 @@ fn sizes_through_pipeline(bench: &str) -> (usize, usize, usize) {
     let mig = Mig::from_network(&net);
     let import = mig.size();
 
-    let sized = optimize_size(&mig, &SizeOptConfig::default());
+    let sized = optimize_size(&mig, 4);
     assert!(
         sized.equiv(&mig, ROUNDS),
         "{bench}: size pass broke equivalence"
     );
     assert!(sized.size() <= import, "{bench}: size pass grew the MIG");
 
-    let rewritten = optimize_rewrite(&sized, &RewriteConfig::default());
+    let rewritten = optimize_rewrite(&sized, 2);
     assert!(
         rewritten.equiv(&mig, ROUNDS),
         "{bench}: rewrite pass broke equivalence"
@@ -69,7 +69,7 @@ fn rewrite_alone_handles_an_unoptimized_import() {
     // still monotone, and the XOR-dominated adder collapses hard.
     let net = mig_suite::benchgen::generate("my_adder").unwrap();
     let mig = Mig::from_network(&net);
-    let rewritten = optimize_rewrite(&mig, &RewriteConfig::default());
+    let rewritten = optimize_rewrite(&mig, 2);
     assert!(rewritten.equiv(&mig, ROUNDS));
     assert!(rewritten.size() < mig.size());
 }
