@@ -651,21 +651,26 @@ impl Mig {
     /// Panics if `input_probs.len() != num_inputs()`.
     pub fn signal_probabilities(&self, input_probs: &[f64]) -> Vec<f64> {
         let mut p = Vec::new();
-        self.signal_probabilities_into(input_probs, &mut p);
+        self.extend_signal_probabilities(input_probs, &mut p);
         p
     }
 
-    /// [`Mig::signal_probabilities`] into a caller-owned buffer, so the
-    /// activity optimizer can recompute per candidate without allocating.
+    /// Extends `p`, the probabilities of the arena's first `p.len()` nodes,
+    /// over the nodes appended since; an empty `p` first gets the constant
+    /// and the inputs. Like levels, probabilities are pure functions of the
+    /// fanins and the arena only appends, so the result equals a full
+    /// propagation bit for bit.
     ///
     /// # Panics
     ///
     /// Panics if `input_probs.len() != num_inputs()`.
-    pub fn signal_probabilities_into(&self, input_probs: &[f64], p: &mut Vec<f64>) {
+    pub(crate) fn extend_signal_probabilities(&self, input_probs: &[f64], p: &mut Vec<f64>) {
         assert_eq!(input_probs.len(), self.num_inputs);
-        p.clear();
-        p.resize(self.children.len(), 0.0);
-        p[1..=self.num_inputs].copy_from_slice(input_probs);
+        debug_assert!(p.len() <= self.children.len(), "stale probabilities");
+        if p.is_empty() {
+            p.push(0.0);
+            p.extend_from_slice(input_probs);
+        }
         let prob_of = |p: &[f64], s: Signal| {
             let q = p[s.node().index()];
             if s.is_complemented() {
@@ -674,10 +679,10 @@ impl Mig {
                 q
             }
         };
-        for i in self.num_inputs + 1..self.children.len() {
+        for i in p.len()..self.children.len() {
             let [a, b, c] = self.children[i];
             let (pa, pb, pc) = (prob_of(p, a), prob_of(p, b), prob_of(p, c));
-            p[i] = pa * pb + pa * pc + pb * pc - 2.0 * pa * pb * pc;
+            p.push(pa * pb + pa * pc + pb * pc - 2.0 * pa * pb * pc);
         }
     }
 
@@ -1140,6 +1145,106 @@ mod tests {
                     }
                 };
                 assert_levels_exact(&mig, &format!("seed {seed} step {step} ({what})"));
+            }
+        }
+    }
+
+    /// `p` equals a from-scratch propagation over `mig` bit for bit.
+    fn assert_probs_exact(mig: &Mig, input_probs: &[f64], p: &[f64], what: &str) {
+        let fresh = mig.signal_probabilities(input_probs);
+        assert_eq!(p.len(), fresh.len(), "{what}: length");
+        for (i, (a, b)) in p.iter().zip(&fresh).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: probability of node {i}");
+        }
+    }
+
+    #[test]
+    fn property_probability_extension_matches_recompute() {
+        // Random maj / Ψ.R / substitute / rebuild sequences: a vector
+        // extended over each appended suffix stays equal to a full
+        // recompute, also inside a rebuild that appends a dead Ψ.R
+        // candidate next to some gates, as the activity pass does.
+        use crate::opt::OptBuffers;
+        use mig_netlist::SplitMix64;
+        fn pick(rng: &mut SplitMix64, sigs: &[Signal]) -> Signal {
+            sigs[rng.gen_range(0..sigs.len())]
+        }
+        for seed in 0..6u64 {
+            let mut rng = SplitMix64::seed_from_u64(0x9b0b_1000 + seed);
+            let mut mig = Mig::new(format!("corpus{seed}"));
+            let mut sigs: Vec<Signal> = (0..8).map(|i| mig.add_input(format!("x{i}"))).collect();
+            let input_probs: Vec<f64> = (0..8).map(|_| rng.next_f64()).collect();
+            for _ in 0..40 {
+                let (a, b, c) = (
+                    pick(&mut rng, &sigs),
+                    pick(&mut rng, &sigs),
+                    pick(&mut rng, &sigs),
+                );
+                sigs.push(mig.maj(a, b, c));
+            }
+            for (i, &s) in sigs[sigs.len() - 6..].iter().enumerate() {
+                mig.add_output(format!("y{i}"), s);
+            }
+            let mut probs = Vec::new();
+            let mut bufs = OptBuffers::new();
+            for step in 0..60 {
+                let (x, y, z) = (
+                    pick(&mut rng, &sigs),
+                    pick(&mut rng, &sigs),
+                    pick(&mut rng, &sigs),
+                );
+                let what = match rng.gen_range(0..4) {
+                    0 => {
+                        sigs.push(mig.maj(x, y, z));
+                        "maj"
+                    }
+                    1 => {
+                        if !x.is_constant() {
+                            sigs.push(mig.psi_r(x, y, z));
+                        }
+                        "psi_r"
+                    }
+                    2 => {
+                        if mig.is_gate(x.node()) && y.node() != x.node() {
+                            sigs.push(mig.substitute(z, x.node(), y));
+                        }
+                        "substitute"
+                    }
+                    _ => {
+                        let mut inner = Vec::new();
+                        let rebuilt = bufs.rebuild(&mig, |new, [a, b, c], _| {
+                            let s = new.maj(a, b, c);
+                            new.extend_signal_probabilities(&input_probs, &mut inner);
+                            if let Some([u, v, w]) = new.as_maj(s) {
+                                if !u.is_constant() && rng.gen_bool(0.25) {
+                                    new.psi_r(u, v, w);
+                                    new.extend_signal_probabilities(&input_probs, &mut inner);
+                                }
+                            }
+                            assert_probs_exact(new, &input_probs, &inner, "inside rebuild");
+                            s
+                        });
+                        bufs.recycle(std::mem::replace(&mut mig, rebuilt));
+                        sigs = (0..mig.num_inputs()).map(|i| mig.input(i)).collect();
+                        sigs.extend(mig.gate_ids().map(|n| Signal::new(n, false)));
+                        // The rebuild restarted the arena, so the vector
+                        // restarts with it.
+                        probs = inner;
+                        "rebuild"
+                    }
+                };
+                let last = *sigs.last().unwrap();
+                if mig.is_gate(last.node()) && rng.gen_bool(0.5) {
+                    let i = rng.gen_range(0..mig.num_outputs());
+                    mig.set_output(i, last);
+                }
+                mig.extend_signal_probabilities(&input_probs, &mut probs);
+                assert_probs_exact(
+                    &mig,
+                    &input_probs,
+                    &probs,
+                    &format!("seed {seed} step {step} ({what})"),
+                );
             }
         }
     }

@@ -97,24 +97,17 @@ fn cost(mig: &Mig, input_probs: &[f64]) -> f64 {
 /// has near-0.5 probability and the exchanged variable is strongly biased,
 /// try the exchange and keep it when the bounded-cone activity drops.
 fn probability_reshape_pass(mig: &Mig, input_probs: &[f64], bufs: &mut OptBuffers) -> Mig {
-    // Probability buffers reused across every node and candidate of the
-    // pass (the closure used to allocate one `Vec<f64>` per candidate).
+    // Probabilities of `new`'s nodes: the rebuild only appends, so each
+    // use extends them over the suffix appended since, gates and Ψ.R
+    // candidates alike, and every node's value is computed once.
     let mut probs: Vec<f64> = Vec::new();
-    let mut cand_probs: Vec<f64> = Vec::new();
     bufs.rebuild(mig, |new, kids, _| {
         let base = new.maj(kids[0], kids[1], kids[2]);
-        if new.as_maj(base).is_none() {
+        // A Ψ.R exchange needs a majority fanin to rewrite through.
+        if new.as_maj(base).is_none() || !kids.iter().any(|&k| new.as_maj(k).is_some()) {
             return base;
         }
-        // A Ψ.R exchange needs a majority fanin to rewrite through; skip
-        // the O(n) probability propagation when no candidate exists.
-        if !kids.iter().any(|&k| new.as_maj(k).is_some()) {
-            return base;
-        }
-        // Probabilities in the new graph (recomputed lazily per node: the
-        // graph is small enough during rebuild that a full propagation per
-        // candidate would be wasteful; we use cone-local evaluation).
-        new.signal_probabilities_into(input_probs, &mut probs);
+        new.extend_signal_probabilities(input_probs, &mut probs);
         let p_of = |probs: &[f64], s: Signal| {
             let p = probs[s.node().index()];
             if s.is_complemented() {
@@ -145,8 +138,8 @@ fn probability_reshape_pass(mig: &Mig, input_probs: &[f64], bufs: &mut OptBuffer
                     continue;
                 }
                 let cand = new.psi_r(x, y, z);
-                new.signal_probabilities_into(input_probs, &mut cand_probs);
-                let act = cone_activity(new, cand, &cand_probs);
+                new.extend_signal_probabilities(input_probs, &mut probs);
+                let act = cone_activity(new, cand, &probs);
                 if act < best_act {
                     best = cand;
                     best_act = act;
@@ -232,5 +225,75 @@ mod tests {
         let probs = vec![0.5; 4];
         let opt = optimize_activity(&mig, &probs, 3);
         assert!(opt.equiv(&mig, 4));
+    }
+
+    /// The reshape pass as it was before probabilities were extended
+    /// over the appended suffix: a whole-graph propagation per gate and
+    /// per Ψ.R candidate.
+    fn full_recompute_reshape(mig: &Mig, input_probs: &[f64]) -> Mig {
+        OptBuffers::new().rebuild(mig, |new, kids, _| {
+            let base = new.maj(kids[0], kids[1], kids[2]);
+            if new.as_maj(base).is_none() || !kids.iter().any(|&k| new.as_maj(k).is_some()) {
+                return base;
+            }
+            let probs = new.signal_probabilities(input_probs);
+            let p_of = |s: Signal| {
+                let p = probs[s.node().index()];
+                if s.is_complemented() {
+                    1.0 - p
+                } else {
+                    p
+                }
+            };
+            let mut best = base;
+            let mut best_act = cone_activity(new, best, &probs);
+            for zi in 0..3 {
+                let z = kids[zi];
+                if new.as_maj(z).is_none() {
+                    continue;
+                }
+                for (xi, yi) in [((zi + 1) % 3, (zi + 2) % 3), ((zi + 2) % 3, (zi + 1) % 3)] {
+                    let (x, y) = (kids[xi], kids[yi]);
+                    if x.is_constant()
+                        || ((1.0 - p_of(y)) - 0.5).abs() <= (p_of(x) - 0.5).abs()
+                        || new.cone_contains(z, x.node(), CONE_LIMIT) != Some(true)
+                    {
+                        continue;
+                    }
+                    let cand = new.psi_r(x, y, z);
+                    let act = cone_activity(new, cand, &new.signal_probabilities(input_probs));
+                    if act < best_act {
+                        best = cand;
+                        best_act = act;
+                    }
+                }
+            }
+            best
+        })
+    }
+
+    #[test]
+    fn suffix_extension_matches_full_recompute_reshape() {
+        // Circuits on which the reshape accepts Ψ.R exchanges after a
+        // depth pass, so the oracle compares real work.
+        for name in ["C1908", "alu4", "count", "dalu"] {
+            let net = mig_benchgen::generate(name).expect("known benchmark");
+            let mig = crate::opt::optimize_depth(&Mig::from_network(&net), 1);
+            let probs = vec![0.5; mig.num_inputs()];
+            let old = full_recompute_reshape(&mig, &probs);
+            let new = probability_reshape_pass(&mig, &probs, &mut OptBuffers::new());
+            assert_ne!(
+                new.content_hash(),
+                mig.content_hash(),
+                "{name}: reshape acts"
+            );
+            assert_eq!(new.content_hash(), old.content_hash(), "{name}: structure");
+            assert_eq!(new.size(), old.size(), "{name}: size");
+            assert_eq!(
+                new.switching_activity(&probs).to_bits(),
+                old.switching_activity(&probs).to_bits(),
+                "{name}: activity"
+            );
+        }
     }
 }

@@ -54,7 +54,7 @@
 //! semantics per job — a panicking or over-budget job degrades without
 //! taking the server down). See `DESIGN.md` §15 for the full spec.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -212,7 +212,7 @@ impl JobCache {
 /// State shared between the accept loop, connection threads, and
 /// workers.
 struct Shared {
-    queue: Mutex<Vec<Job>>,
+    queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
     shutdown: AtomicBool,
     in_flight: AtomicUsize,
@@ -279,7 +279,7 @@ impl Server {
             .map_err(|e| format!("set_nonblocking: {e}"))?;
 
         let shared = Arc::new(Shared {
-            queue: Mutex::new(Vec::new()),
+            queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
@@ -500,7 +500,7 @@ fn handle_request(line: &str, tx: &mpsc::Sender<String>, shared: &Arc<Shared>) -
                             error_line(&id, exit_code::USAGE, "server is shutting down"),
                         );
                     } else {
-                        queue.insert(0, job); // workers pop from the back (FIFO)
+                        queue.push_back(job);
                         shared.queue_cv.notify_one();
                     }
                 }
@@ -601,7 +601,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         let job = {
             let mut queue = shared.queue.lock().expect("queue lock");
             loop {
-                if let Some(job) = queue.pop() {
+                if let Some(job) = queue.pop_front() {
                     break job;
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {

@@ -235,6 +235,39 @@ fn mid_job_disconnect_does_not_kill_the_server() {
 }
 
 #[test]
+fn one_worker_completes_jobs_in_submission_order() {
+    let server = start(1, 0);
+    let mut client = Client::connect(server.addr());
+    // One write carries every job, so jobs 2..=5 queue behind the slow
+    // first one; a LIFO queue would answer them 5, 4, 3, 2.
+    let netlists = ["alu4", "count", "my_adder", "cla", "b9"];
+    let batch: String = netlists
+        .iter()
+        .enumerate()
+        .map(|(i, name)| {
+            format!(
+                "{{\"id\": {}, \"netlist\": \"{name}\", \"flow\": \"size; rewrite\", \
+                 \"effort\": 2}}\n",
+                i + 1
+            )
+        })
+        .collect();
+    client.writer.write_all(batch.as_bytes()).expect("send");
+    client.writer.flush().expect("flush");
+    let ids: Vec<f64> = netlists
+        .iter()
+        .map(|_| {
+            let v = client.recv_final();
+            assert_eq!(v.get_num("exit_code"), Some(0.0));
+            v.get_num("id").expect("result carries its id")
+        })
+        .collect();
+    assert_eq!(ids, [1.0, 2.0, 3.0, 4.0, 5.0]);
+    server.shutdown();
+    assert!(server.wait());
+}
+
+#[test]
 fn ping_stats_and_wire_shutdown() {
     let server = start(1, 4);
     let addr = server.addr();
